@@ -411,6 +411,7 @@ type campaign = {
   runs : run_result list;
   covered : int list;
   shrunk : string option;
+  not_reproducible : string list;
 }
 
 (* Oracle 4: a crashed-and-recovered run must end with exactly the
@@ -444,6 +445,8 @@ let total_violations c =
   + List.length c.baseline.violations
 
 let violating r = r.violations <> []
+
+let passed c = total_violations c = 0 && c.not_reproducible = []
 
 (* Greedy shrink: drop schedule entries while the violation persists,
    then lower occurrence counts toward 0. *)
@@ -496,14 +499,28 @@ let shrink_first_violation scenario baseline runs =
    When nothing is recording (the common campaign configuration), a
    per-run context is pure allocation: every guarded [Obs] call is a
    no-op either way.  Runs then share their worker domain's own context
-   - one per worker, not one per run - and the merge step disappears. *)
+   - one per worker, not one per run - and the merge step disappears.
+
+   With [check_replays] each run is replayed once, on the same worker
+   right after it ran, in a fresh quiet context (a replay records no
+   span and moves no counter), and the replay must reproduce the
+   recorded result field for field.  Fused into the fan-out rather than
+   run as a second pass over the finished campaign, the check uses every
+   worker and keeps peak memory at the unchecked campaign's level. *)
 
 let run_isolated parent scenario ~seed schedule =
   let ctx = Obs.Ctx.create ~like:parent () in
   let r = Obs.with_ctx ctx (fun () -> run_schedule scenario ~seed schedule) in
   (r, ctx)
 
-let run_schedules ~jobs scenario ~baseline ~n plan =
+let reproduces scenario baseline (r : run_result) =
+  let again =
+    Obs.with_ctx (Obs.Ctx.create ()) (fun () ->
+        run_schedule scenario ~seed:r.seed r.schedule)
+  in
+  check_footprint baseline again = r
+
+let run_schedules ~jobs ~check_replays scenario ~baseline ~n plan =
   let parent = Obs.current () in
   let observed =
     Obs.Ctx.metrics_enabled parent || Obs.Ctx.tracing_enabled parent
@@ -511,19 +528,31 @@ let run_schedules ~jobs scenario ~baseline ~n plan =
   let results =
     Par.map ~jobs n (fun i ->
         let seed, schedule = plan i in
-        if observed then
-          let r, ctx = run_isolated parent scenario ~seed schedule in
-          (r, Some ctx)
-        else (run_schedule scenario ~seed schedule, None))
+        let r, ctx =
+          if observed then
+            let r, ctx = run_isolated parent scenario ~seed schedule in
+            (r, Some ctx)
+          else (run_schedule scenario ~seed schedule, None)
+        in
+        let r = check_footprint baseline r in
+        (r, ctx, (not check_replays) || reproduces scenario baseline r))
   in
-  Array.to_list results
-  |> List.map (fun (r, ctx) ->
-         (match ctx with
-         | Some ctx -> Obs.Ctx.absorb ~into:parent ctx
-         | None -> ());
-         check_footprint baseline r)
+  let runs =
+    Array.to_list results
+    |> List.map (fun (r, ctx, _) ->
+           (match ctx with
+           | Some ctx -> Obs.Ctx.absorb ~into:parent ctx
+           | None -> ());
+           r)
+  in
+  let not_reproducible =
+    Array.to_list results
+    |> List.filter_map (fun (r, _, ok) ->
+           if ok then None else Some (replay_line ~seed:r.seed r.schedule))
+  in
+  (runs, not_reproducible)
 
-let exhaustive ?(jobs = 1) scenario ~seed ~depth =
+let exhaustive ?(jobs = 1) ?(check_replays = false) scenario ~seed ~depth =
   if depth < 1 then invalid_arg "Faultsim.exhaustive: depth must be positive";
   if jobs < 1 then invalid_arg "Faultsim.exhaustive: jobs must be positive";
   let baseline = run_schedule scenario ~seed [] in
@@ -550,8 +579,9 @@ let exhaustive ?(jobs = 1) scenario ~seed ~depth =
   let schedules =
     Array.of_list (List.concat (List.init depth (fun d -> deepen (d + 1) level1)))
   in
-  let runs =
-    run_schedules ~jobs scenario ~baseline ~n:(Array.length schedules)
+  let runs, not_reproducible =
+    run_schedules ~jobs ~check_replays scenario ~baseline
+      ~n:(Array.length schedules)
       (fun i -> (seed, schedules.(i)))
   in
   {
@@ -563,9 +593,11 @@ let exhaustive ?(jobs = 1) scenario ~seed ~depth =
     runs;
     covered = coverage runs;
     shrunk = shrink_first_violation scenario baseline runs;
+    not_reproducible;
   }
 
-let random_campaign ?(jobs = 1) scenario ~seed ~runs ~max_depth =
+let random_campaign ?(jobs = 1) ?(check_replays = false) scenario ~seed ~runs
+    ~max_depth =
   if runs < 1 then invalid_arg "Faultsim.random_campaign: runs must be positive";
   if max_depth < 1 then
     invalid_arg "Faultsim.random_campaign: max_depth must be positive";
@@ -588,7 +620,9 @@ let random_campaign ?(jobs = 1) scenario ~seed ~runs ~max_depth =
     in
     (run_seed, schedule)
   in
-  let results = run_schedules ~jobs scenario ~baseline ~n:runs plan in
+  let results, not_reproducible =
+    run_schedules ~jobs ~check_replays scenario ~baseline ~n:runs plan
+  in
   {
     scenario = scenario.Scenario.name;
     mode = "random";
@@ -598,6 +632,7 @@ let random_campaign ?(jobs = 1) scenario ~seed ~runs ~max_depth =
     runs = results;
     covered = coverage results;
     shrunk = shrink_first_violation scenario baseline results;
+    not_reproducible;
   }
 
 let replay scenario ~line =
@@ -611,37 +646,21 @@ let replay scenario ~line =
 
 (* --- reports --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
 let run_to_json r =
   Printf.sprintf
     "{\"seed\": %d, \"schedule\": %s, \"fired\": %s, \"outcome\": %s, \
      \"power_failures\": %d, \"digest\": %s, \"hits\": [%s], \
      \"violations\": [%s]}"
     r.seed
-    (json_string (schedule_to_string r.schedule))
-    (json_string (schedule_to_string r.fired))
-    (json_string r.outcome) r.power_failures (json_string r.digest)
+    (Json.quote (schedule_to_string r.schedule))
+    (Json.quote (schedule_to_string r.fired))
+    (Json.quote r.outcome) r.power_failures (Json.quote r.digest)
     (String.concat ", " (Array.to_list (Array.map string_of_int r.hits)))
     (String.concat ", "
        (List.map
           (fun v ->
             Printf.sprintf "{\"oracle\": %s, \"detail\": %s}"
-              (json_string v.oracle) (json_string v.detail))
+              (Json.quote v.oracle) (Json.quote v.detail))
           r.violations))
 
 (* The report renderer is written against a string sink so campaign-
@@ -650,12 +669,12 @@ let run_to_json r =
 let write_campaign_json ~emit c =
   let add fmt = Printf.ksprintf emit fmt in
   add "{\n";
-  add "  \"scenario\": %s,\n" (json_string c.scenario);
-  add "  \"mode\": %s,\n" (json_string c.mode);
+  add "  \"scenario\": %s,\n" (Json.quote c.scenario);
+  add "  \"mode\": %s,\n" (Json.quote c.mode);
   add "  \"depth\": %d,\n" c.depth;
   add "  \"campaign_seed\": %d,\n" c.campaign_seed;
   add "  \"sites\": [%s],\n"
-    (String.concat ", " (Array.to_list (Array.map json_string sites)));
+    (String.concat ", " (Array.to_list (Array.map Json.quote sites)));
   add "  \"registered_sites\": %d,\n" site_count;
   add "  \"covered_sites\": [%s],\n"
     (String.concat ", " (List.map string_of_int c.covered));
@@ -670,7 +689,7 @@ let write_campaign_json ~emit c =
   add "  \"total_runs\": %d,\n" (List.length c.runs);
   add "  \"total_violations\": %d,\n" (total_violations c);
   add "  \"shrunk\": %s\n"
-    (match c.shrunk with None -> "null" | Some line -> json_string line);
+    (match c.shrunk with None -> "null" | Some line -> Json.quote line);
   add "}\n"
 
 let output_campaign_json oc c = write_campaign_json ~emit:(output_string oc) c

@@ -104,9 +104,16 @@ type campaign = {
   shrunk : string option;
       (** minimal violating reproducer (replay line), when any run
           violated an oracle *)
+  not_reproducible : string list;
+      (** replay lines, in run order, of the runs whose replay did not
+          reproduce the recorded {!run_result}; always [[]] when the
+          campaign ran without [check_replays].  Not part of the JSON
+          report. *)
 }
 
-val exhaustive : ?jobs:int -> Scenario.t -> seed:int -> depth:int -> campaign
+val exhaustive :
+  ?jobs:int -> ?check_replays:bool -> Scenario.t -> seed:int -> depth:int ->
+  campaign
 (** Bounded-exhaustive.  Level 1 is complete over {e dynamic} crash
     instants: one run per (site, occurrence) pair the baseline run
     exhibits - every probed instruction execution gets crashed exactly
@@ -118,10 +125,20 @@ val exhaustive : ?jobs:int -> Scenario.t -> seed:int -> depth:int -> campaign
     work-stealing queue; every run executes against its own fresh
     [Obs] context and device, and the per-run contexts are merged back
     in run-id order, so the campaign record, JSON report and exported
-    trace are byte-identical for every [jobs] value. *)
+    trace are byte-identical for every [jobs] value.
+
+    [check_replays] (default [false]) is the determinism check: each
+    run is replayed once from its reproducer line on the same worker,
+    right after it ran, and the replay - footprint oracle applied - must
+    equal the recorded run field for field (digest, fired, hits,
+    outcome, power failures, footprint, violations).  Runs that differ
+    are listed in [not_reproducible].  A replay runs in a fresh quiet
+    [Obs] context: it adds no trace span and moves no counter, so the
+    trace and metrics are the same with or without the check. *)
 
 val random_campaign :
-  ?jobs:int -> Scenario.t -> seed:int -> runs:int -> max_depth:int -> campaign
+  ?jobs:int -> ?check_replays:bool -> Scenario.t -> seed:int -> runs:int ->
+  max_depth:int -> campaign
 (** Seeded random schedules: run [i] draws its own seed, a depth in
     [1, max_depth] and per-entry sites/occurrences from a splitmix64
     stream split off the campaign generator at index [i]
@@ -130,13 +147,22 @@ val random_campaign :
     of [jobs] as in {!exhaustive}, and fan-out starts immediately with
     no sequential pre-draw or all-schedules materialisation.  On the
     first violating run the schedule is greedily shrunk (drop entries,
-    then lower occurrences) to a minimal reproducer. *)
+    then lower occurrences) to a minimal reproducer.  [check_replays]
+    replays every run against its record exactly as in {!exhaustive}. *)
 
 val total_violations : campaign -> int
 
+val passed : campaign -> bool
+(** No oracle violation (baseline included) and every checked replay
+    reproduced its run: the campaign CLI exits 0 exactly when this
+    holds. *)
+
 val replay : Scenario.t -> line:string -> (run_result * bool, string) result
-(** Re-run a reproducer line twice from scratch; the boolean is whether
-    the two trace digests are byte-identical (determinism check). *)
+(** Re-run a reproducer line from scratch: the uninjected baseline (for
+    the footprint oracle), then the schedule twice; the boolean is
+    whether the two trace digests are byte-identical.  This is the
+    standalone check behind [faultsim --replay]; campaigns check each
+    run against its own record instead ([check_replays]). *)
 
 (** {2 Reports} *)
 
@@ -147,11 +173,6 @@ val output_campaign_json : out_channel -> campaign -> unit
 (** The same document streamed row by row to [oc]: a campaign-scale
     report is never held in memory as one string.  Byte-identical to
     {!campaign_to_json}. *)
-
-val json_string : string -> string
-(** One JSON string literal (escaped, quoted) in the house rendering -
-    shared with the fleet report writer so the two reports escape
-    identically. *)
 
 val campaign_summary : campaign -> string
 (** Short human-readable summary (used by the CLI and the cram test). *)

@@ -146,7 +146,7 @@ let summary report =
   Buffer.contents buf
 
 let to_json report =
-  let js = Faultsim.json_string in
+  let js = Json.quote in
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";

@@ -582,7 +582,7 @@ let run ?(jobs = 1) ?chunk ?on_progress spec =
 let output_report_json ?(devices = false) oc report =
   let emit = output_string oc in
   let emitf fmt = Printf.ksprintf emit fmt in
-  let str = F.json_string in
+  let str = Json.quote in
   let strings names =
     String.concat ", " (List.map str names)
   in

@@ -59,14 +59,17 @@ type access = {
   acc_in_tx : bool;
 }
 
-(* Per-cell hooks let the store manipulate heterogeneous cells uniformly. *)
+(* Per-cell hooks let the store manipulate heterogeneous cells uniformly.
+   [digest_committed] answers from the cell's digest cache;
+   [digest_uncached] re-marshals the committed value every time and is
+   kept only as the reference the cache is tested against. *)
 type registered = {
   reg_name : string;
-  reg_region : region;
   reg_kind : kind;
   reg_bytes : int;
   reset_volatile : unit -> unit;
   digest_committed : unit -> string;
+  digest_uncached : unit -> string;
   digest_logical : unit -> string;
 }
 
@@ -86,10 +89,11 @@ type dirty = {
 
 type t = {
   obs : Obs.ctx;  (* recording surface; per-device since PR 5 *)
-  mutable cells : registered list;  (* reverse allocation order *)
   names : (region * string, unit) Hashtbl.t;  (* duplicate detection *)
   footprints : int array;  (* (kind, region) -> declared bytes *)
   mutable volatiles : registered list;  (* Ram cells only *)
+  region_cells : registered list array;
+      (* per region, reverse allocation order *)
   mutable tx_open : bool;
   mutable tx_dirty : dirty list;  (* reverse write order *)
   mutable reverts : int;  (* aborts + power failures, see [revert_count] *)
@@ -107,24 +111,36 @@ type 'a cell = {
   region : region;
   kind : kind;
   initial : 'a;
-  mutable committed : 'a;
+  mutable committed : 'a;  (* assign only through [set_committed] *)
+  mutable committed_md5 : string;
+      (* digest of [committed]; [""] (never an MD5) when stale *)
   mutable pending : 'a option;
 }
 
+(* The one way [committed] changes: every assignment clears the digest
+   cache, so a snapshot re-digests exactly the cells written since the
+   previous one.  Cell values are immutable, so no in-place mutation
+   can go stale behind the cache. *)
+let set_committed c v =
+  c.committed <- v;
+  c.committed_md5 <- ""
+
+let digest_value v = Digest.string (Marshal.to_string v [ Marshal.Closures ])
+
+let region_slot = function
+  | Runtime -> 0 | Monitor -> 1 | Application -> 2 | Staging -> 3
+
 let footprint_slot kind region =
   let k = match kind with Fram -> 0 | Ram -> 1 in
-  let r =
-    match region with Runtime -> 0 | Monitor -> 1 | Application -> 2 | Staging -> 3
-  in
-  (k * 4) + r
+  (k * 4) + region_slot region
 
 let create ?obs () =
   {
     obs = (match obs with Some o -> o | None -> Obs.current ());
-    cells = [];
     names = Hashtbl.create 64;
     footprints = Array.make 8 0;
     volatiles = [];
+    region_cells = Array.make 4 [];
     tx_open = false;
     tx_dirty = [];
     reverts = 0;
@@ -158,24 +174,27 @@ let cell t ~region ?(kind = Fram) ~name ~bytes init =
   Hashtbl.replace t.names (region, name) ();
   let c =
     { store = t; name; region; kind; initial = init; committed = init;
-      pending = None }
+      committed_md5 = ""; pending = None }
   in
   let registered =
     {
       reg_name = name;
-      reg_region = region;
       reg_kind = kind;
       reg_bytes = bytes;
-      reset_volatile = (fun () -> if kind = Ram then c.committed <- c.initial);
+      reset_volatile = (fun () -> if kind = Ram then set_committed c c.initial);
       digest_committed =
-        (fun () -> Digest.string (Marshal.to_string c.committed [ Marshal.Closures ]));
+        (fun () ->
+          if c.committed_md5 = "" then c.committed_md5 <- digest_value c.committed;
+          c.committed_md5);
+      digest_uncached = (fun () -> digest_value c.committed);
       digest_logical =
         (fun () ->
           let v = match c.pending with Some p -> p | None -> c.committed in
-          Digest.string (Marshal.to_string v [ Marshal.Closures ]));
+          digest_value v);
     }
   in
-  t.cells <- registered :: t.cells;
+  let slot = region_slot region in
+  t.region_cells.(slot) <- registered :: t.region_cells.(slot);
   t.footprints.(footprint_slot kind region) <-
     t.footprints.(footprint_slot kind region) + bytes;
   if kind = Ram then t.volatiles <- registered :: t.volatiles;
@@ -194,7 +213,7 @@ let write c v =
   record_access c Write_op;
   Obs.Ctx.incr c.store.obs m_writes;
   fire c.store "nvm.write.before";
-  c.committed <- v;
+  set_committed c v;
   fire c.store "nvm.write.after"
 
 let begin_tx t =
@@ -218,18 +237,18 @@ let tx_write c v =
   record_access c Tx_write_op;
   Obs.Ctx.incr c.store.obs m_tx_writes;
   fire c.store "nvm.tx_write.before";
-  (if !Chaos.tx_write_through then c.committed <- v
+  (if !Chaos.tx_write_through then set_committed c v
    else begin
      (match c.pending with
      | None ->
          let commit () =
-           (match c.pending with Some p -> c.committed <- p | None -> ());
+           (match c.pending with Some p -> set_committed c p | None -> ());
            c.pending <- None
          in
          let discard () = c.pending <- None in
          let capture () =
            let v = match c.pending with Some p -> p | None -> c.committed in
-           fun () -> c.committed <- v
+           fun () -> set_committed c v
          in
          c.store.tx_dirty <-
            { d_name = c.name; d_region = c.region; commit; discard; capture }
@@ -303,17 +322,12 @@ let revert_count t = t.reverts
 
 let footprint t ~kind ~region = t.footprints.(footprint_slot kind region)
 
-let cell_names t ~region =
-  List.rev t.cells
-  |> List.filter (fun r -> r.reg_region = region)
-  |> List.map (fun r -> r.reg_name)
+(* [region_cells] is in reverse allocation order, so one [rev_map]
+   yields allocation order. *)
+let in_region f t ~region = List.rev_map f t.region_cells.(region_slot region)
 
-let snapshot_region t ~region =
-  List.rev t.cells
-  |> List.filter (fun r -> r.reg_region = region)
-  |> List.map (fun r -> (r.reg_name, r.digest_committed ()))
-
-let snapshot_region_logical t ~region =
-  List.rev t.cells
-  |> List.filter (fun r -> r.reg_region = region)
-  |> List.map (fun r -> (r.reg_name, r.digest_logical ()))
+let cell_names = in_region (fun r -> r.reg_name)
+let snapshot_with digest = in_region (fun r -> (r.reg_name, digest r))
+let snapshot_region = snapshot_with (fun r -> r.digest_committed ())
+let snapshot_region_uncached = snapshot_with (fun r -> r.digest_uncached ())
+let snapshot_region_logical = snapshot_with (fun r -> r.digest_logical ())

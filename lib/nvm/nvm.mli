@@ -176,7 +176,15 @@ val snapshot_region : t -> region:region -> (string * string) list
 (** [(name, digest)] of every cell's {e committed} value in the region,
     in allocation order.  Pending transactional values are excluded, so
     two snapshots are equal iff the durable states are.  Used by the
-    fault-injection oracles (task-transaction atomicity). *)
+    fault-injection oracles (task-transaction atomicity), which take one
+    at every commit.  Each cell memoises the MD5 of its committed value
+    and every assignment to it clears the memo, so a snapshot only
+    re-digests the cells written since the previous one. *)
+
+val snapshot_region_uncached : t -> region:region -> (string * string) list
+(** {!snapshot_region} with every digest recomputed from the committed
+    value (Marshal + MD5), bypassing the memo.  Test-only: the
+    differential reference the cached snapshot is checked against. *)
 
 val snapshot_region_logical : t -> region:region -> (string * string) list
 (** Like {!snapshot_region}, but digesting each cell's {e visible} value
