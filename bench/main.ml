@@ -53,13 +53,12 @@ let reproduce_all () =
   section "Adaptation study: live property updates vs full reprogramming"
     (Adaptation_study.render (Adaptation_study.run ()))
 
-(* --- engine comparison kernels (interpreted AST walker vs deploy-time
-   compiled closures) --- *)
+(* --- engine comparison kernels (reference AST interpreter vs the
+   flat-table bytecode engine) --- *)
 
 module A = Artemis
 module F = A.Fsm.Ast
 module Interp = A.Fsm.Interp
-module Compile = A.Fsm.Compile
 module Table = A.Fsm.Table
 
 (* a synthetic trace over the benchmark's real task set; every end event
@@ -87,13 +86,10 @@ let kernel_trace =
    pointer chase per machine. *)
 let fsm_step_kernels () =
   let machines = Scalability.replicated_machines 1 in
-  let compiled = List.map Compile.compile machines in
   let tables = List.map Table.compile machines in
   let machines_a = Array.of_list machines in
-  let compiled_a = Array.of_list compiled in
   let tables_a = Array.of_list tables in
   let istores = Array.of_list (List.map Interp.memory_store machines) in
-  let cstores = Array.of_list (List.map Compile.memory_store compiled) in
   let tinsts = Array.of_list (List.map Table.instance tables) in
   let trace = Array.of_list kernel_trace in
   let nev = Array.length trace and nm = Array.length machines_a in
@@ -105,14 +101,6 @@ let fsm_step_kernels () =
       done
     done
   in
-  let comp () =
-    for e = 0 to nev - 1 do
-      let ev = trace.(e) in
-      for j = 0 to nm - 1 do
-        ignore (Compile.step compiled_a.(j) cstores.(j) ev)
-      done
-    done
-  in
   let tbl () =
     for e = 0 to nev - 1 do
       let ev = trace.(e) in
@@ -121,24 +109,23 @@ let fsm_step_kernels () =
       done
     done
   in
-  (interp, comp, tbl)
+  (interp, tbl)
 
 (* suite-level dispatch at the paper's 8x replication: the seed design
    (interpreted machines, every monitor stepped per event) against the
-   fast path (compiled closures, task-indexed dispatch) *)
+   fast path (table engine, task-indexed dispatch) *)
+let dispatch8_tables () =
+  List.map Table.compile (Scalability.replicated_machines 8)
+
 let dispatch8_kernels () =
-  let machines = Scalability.replicated_machines 8 in
+  let tables = dispatch8_tables () in
   let s_interp =
     Artemis_monitor.Suite.create ~engine:A.Monitor.Interpreted (A.Nvm.create ())
-      machines
-  in
-  let s_comp =
-    Artemis_monitor.Suite.create ~engine:A.Monitor.Compiled (A.Nvm.create ())
-      machines
+      tables
   in
   let s_tbl =
     Artemis_monitor.Suite.create ~engine:A.Monitor.Table (A.Nvm.create ())
-      machines
+      tables
   in
   let trace = Array.of_list kernel_trace in
   let nev = Array.length trace in
@@ -147,27 +134,21 @@ let dispatch8_kernels () =
       ignore (A.Suite.step_all_unindexed s_interp trace.(e))
     done
   in
-  let comp () =
-    for e = 0 to nev - 1 do
-      ignore (A.Suite.step_all s_comp trace.(e))
-    done
-  in
   let tbl () =
     for e = 0 to nev - 1 do
       ignore (A.Suite.step_all s_tbl trace.(e))
     done
   in
-  (interp, comp, tbl)
+  (interp, tbl)
 
-(* observability disabled-overhead contract: the same dispatch8 compiled
-   kernel with the metrics registry off (the default) and on.  The off
-   kernel must stay within noise of PR2's dispatch8-compiled number; the
-   on/off delta prices the counter bumps. *)
+(* observability disabled-overhead contract: the same dispatch8 table
+   kernel with the metrics registry off (the default) and on.  The on/off
+   delta prices the counter bumps. *)
 let obs_kernels () =
-  let machines = Scalability.replicated_machines 8 in
+  let tables = dispatch8_tables () in
   let mk () =
-    Artemis_monitor.Suite.create ~engine:A.Monitor.Compiled (A.Nvm.create ())
-      machines
+    Artemis_monitor.Suite.create ~engine:A.Monitor.Table (A.Nvm.create ())
+      tables
   in
   let s_off = mk () and s_on = mk () in
   let trace = Array.of_list kernel_trace in
@@ -190,8 +171,8 @@ let obs_kernels () =
    ratio of two independently fitted OLS estimates drifts more than the
    quantities under test: sequential bechamel runs reported 5-22%
    phantom obs overhead on a delta that interleaving shows is under 2%,
-   and swung compiled fsm-step by 40% between runs while the table
-   number held still.  So every ratio in the report is measured as a
+   and swung one engine's fsm-step by 40% between runs while another
+   held still.  So every ratio in the report is measured as a
    set: alternating rounds over the same kernels, median across rounds
    - frequency and GC drift then land on all sides of each comparison
    equally.  Bechamel's per-kernel estimates stay in kernels_ns. *)
@@ -252,20 +233,14 @@ let measure_freshness_paired ~fast () =
   | [| p; f |] -> (p, f)
   | _ -> assert false
 
-type engine_paired = {
-  pair : string;
-  interpreted_ns : float;
-  compiled_ns : float;
-  table_ns : float;
-}
+type engine_paired = { pair : string; interpreted_ns : float; table_ns : float }
 
 let measure_engines_paired ~fast () =
   let rounds = if fast then 5 else 11 in
   let iters = if fast then 500 else 3_000 in
-  let measure pair (i, c, t) =
-    match paired_medians ~rounds ~iters [| i; c; t |] with
-    | [| i_ns; c_ns; t_ns |] ->
-        { pair; interpreted_ns = i_ns; compiled_ns = c_ns; table_ns = t_ns }
+  let measure pair (i, t) =
+    match paired_medians ~rounds ~iters [| i; t |] with
+    | [| i_ns; t_ns |] -> { pair; interpreted_ns = i_ns; table_ns = t_ns }
     | _ -> assert false
   in
   [
@@ -279,7 +254,7 @@ let measure_engines_paired ~fast () =
 let adapt_apply_kernel () =
   let nvm0 = A.Nvm.create () in
   let app, _ = A.Health_app.make nvm0 in
-  let machines = A.compile_exn ~app A.Health_app.spec_text in
+  let tables = List.map Table.compile (A.compile_exn ~app A.Health_app.spec_text) in
   let update =
     A.Adapt.spec_update ~id:1 ~remove:[ "maxDuration_send" ]
       "send: { MITD: 4min dpTask: accel onFail: restartPath maxAttempt: 3 \
@@ -287,7 +262,7 @@ let adapt_apply_kernel () =
   in
   fun () ->
     let nvm = A.Nvm.create () in
-    let suite = Artemis_monitor.Suite.create nvm machines in
+    let suite = Artemis_monitor.Suite.create nvm tables in
     A.Suite.hard_reset suite;
     let mgr = A.Adapt.create nvm ~app suite in
     ignore (A.Adapt.stage mgr update);
@@ -477,16 +452,14 @@ let experiment_tests =
     ]
 
 let engine_tests =
-  let fsm_i, fsm_c, fsm_t = fsm_step_kernels () in
-  let d8_i, d8_c, d8_t = dispatch8_kernels () in
+  let fsm_i, fsm_t = fsm_step_kernels () in
+  let d8_i, d8_t = dispatch8_kernels () in
   let obs_off, obs_on = obs_kernels () in
   Test.make_grouped ~name:"engine"
     [
       Test.make ~name:"fsm-step-interpreted" (stagedf fsm_i);
-      Test.make ~name:"fsm-step-compiled" (stagedf fsm_c);
       Test.make ~name:"fsm-step-table" (stagedf fsm_t);
       Test.make ~name:"dispatch8-interpreted" (stagedf d8_i);
-      Test.make ~name:"dispatch8-compiled" (stagedf d8_c);
       Test.make ~name:"dispatch8-table" (stagedf d8_t);
       Test.make ~name:"obs-dispatch8-off" (stagedf obs_off);
       Test.make ~name:"obs-dispatch8-on" (stagedf obs_on);
@@ -556,15 +529,13 @@ let print_results header results =
 
 (* --- machine-readable output (hand-rolled JSON; no deps) --- *)
 
-(* table-vs-compiled is the PR6 acceptance ratio; all three engine
-   numbers here come from the paired measurement, not bechamel *)
+(* both engine numbers here come from the paired measurement, not
+   bechamel *)
 let json_of_engine (e : engine_paired) =
   Printf.sprintf
-    {|    %S: { "interpreted_ns": %.0f, "compiled_ns": %.0f, "speedup": %.2f, "table_ns": %.0f, "table_speedup": %.2f }|}
-    e.pair e.interpreted_ns e.compiled_ns
-    (e.interpreted_ns /. e.compiled_ns)
-    e.table_ns
-    (e.compiled_ns /. e.table_ns)
+    {|    %S: { "interpreted_ns": %.0f, "table_ns": %.0f, "speedup": %.2f }|}
+    e.pair e.interpreted_ns e.table_ns
+    (e.interpreted_ns /. e.table_ns)
 
 let json_of_scalability rows =
   String.concat ",\n"
@@ -718,7 +689,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if not (!fast || !skip_reproduce) then reproduce_all ();
   let engine_results = run_bechamel ~fast:!fast engine_tests in
-  print_results "Engine comparison: interpreted vs compiled" engine_results;
+  print_results "Engine comparison: interpreted vs table" engine_results;
   let par = par_campaign ~fast:!fast () in
   print_par_campaign par;
   let fleet = fleet_bench ~fast:!fast () in
@@ -727,11 +698,10 @@ let () =
   List.iter
     (fun e ->
       Printf.printf
-        "%s (paired): interpreted %.0f / compiled %.0f / table %.0f ns; \
-         compiled %.2fx interpreted, table %.2fx compiled\n"
-        e.pair e.interpreted_ns e.compiled_ns e.table_ns
-        (e.interpreted_ns /. e.compiled_ns)
-        (e.compiled_ns /. e.table_ns))
+        "%s (paired): interpreted %.0f / table %.0f ns; table %.2fx \
+         interpreted\n"
+        e.pair e.interpreted_ns e.table_ns
+        (e.interpreted_ns /. e.table_ns))
     engines;
   let obs = measure_obs_paired ~fast:!fast () in
   (let off, on = obs in

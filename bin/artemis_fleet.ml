@@ -51,13 +51,7 @@ let progress_printer total =
 
 let run spec_path name scenarios seeds seed_first harvesters engines backends
     jobs chunk json devices out progress =
-  if jobs < 0 then begin
-    Printf.eprintf
-      "artemis_fleet: --jobs must be 0 (auto) or positive (got %d)\n" jobs;
-    2
-  end
-  else
-    let jobs = if jobs = 0 then Artemis.Par.recommended_jobs () else jobs in
+  Cli.with_jobs ~prog:"artemis_fleet" jobs @@ fun jobs ->
     match
       load_spec spec_path name scenarios seeds seed_first harvesters engines
         backends
@@ -134,8 +128,8 @@ let engine_arg =
     & opt_all string [ "default" ]
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Monitor engine(s) (repeatable): $(b,default), $(b,interpreted), \
-           $(b,compiled) or $(b,table).")
+          ("Monitor engine(s) (repeatable): $(b,default), " ^ Cli.engine_doc
+           ^ "."))
 
 let backend_arg =
   Arg.(

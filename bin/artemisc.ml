@@ -9,7 +9,6 @@
 open Cmdliner
 
 type emit = Spec | Fsm | C | Lint | Project
-type engine = Interpreted | Compiled | Table
 
 (* --engine: report what each property costs under the chosen execution
    backend.  For the table engine this is the per-property flat-buffer
@@ -19,7 +18,7 @@ type engine = Interpreted | Compiled | Table
 let engine_report engine machines =
   let buf = Buffer.create 256 in
   let adds fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (match engine with
+  (match (engine : Artemis.Monitor.engine) with
   | Interpreted ->
       adds "engine: interpreted (AST walk, reference semantics)\n";
       List.iter
@@ -32,17 +31,6 @@ let engine_report engine machines =
                (fun acc (s : Artemis.Fsm.Ast.state) ->
                  acc + List.length s.Artemis.Fsm.Ast.transitions)
                0 m.Artemis.Fsm.Ast.states))
-        machines
-  | Compiled ->
-      adds "engine: compiled (deploy-time closures)\n";
-      List.iter
-        (fun m ->
-          let c = Artemis.Fsm.Compile.compile m in
-          adds "%s: %d states, %d vars, %d watched tasks\n"
-            (Artemis.Fsm.Compile.name c)
-            (Artemis.Fsm.Compile.state_count c)
-            (Artemis.Fsm.Compile.var_count c)
-            (List.length (Artemis.Fsm.Compile.watched_tasks c)))
         machines
   | Table ->
       adds "engine: table (flat dispatch + bytecode)\n";
@@ -293,19 +281,15 @@ let emit_arg =
               $(b,project) (a complete C project tree, concatenated).")
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [ ("interpreted", Interpreted); ("compiled", Compiled); ("table", Table) ]
-  in
   Arg.(
     value
-    & opt (some engine_conv) None
+    & opt (some Cli.engine_conv) None
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Report the per-property cost of running the compiled machines \
-              under $(docv): $(b,interpreted), $(b,compiled) or $(b,table). \
-              For $(b,table) prints each property's flat-buffer footprint \
-              (dispatch table + bytecode, in words) and its register-file \
-              size.  Replaces the normal $(b,--emit) output.")
+        ~doc:("Report the per-property cost of running the compiled machines \
+               under $(docv): " ^ Cli.engine_doc ^ ".  For $(b,table) prints \
+               each property's flat-buffer footprint (dispatch table + \
+               bytecode, in words) and its register-file size.  Replaces the \
+               normal $(b,--emit) output."))
 
 let reset_arg =
   Arg.(

@@ -33,13 +33,8 @@ let run scenario_name engine list depth random max_depth seed replay json skip_v
     code
   in
   write_trace
-  @@
-  if jobs < 0 then begin
-    Printf.eprintf "faultsim: --jobs must be 0 (auto) or positive (got %d)\n" jobs;
-    2
-  end
-  else
-  let jobs = if jobs = 0 then Artemis.Par.recommended_jobs () else jobs in
+  @@ Cli.with_jobs ~prog:"faultsim" jobs
+  @@ fun jobs ->
   if list then list_sites ()
   else
     match Scenario.find scenario_name with
@@ -100,21 +95,13 @@ let scenario_arg =
               $(b,stale-read) and $(b,war-buggy).")
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [
-        ("interpreted", Artemis.Monitor.Interpreted);
-        ("compiled", Artemis.Monitor.Compiled);
-        ("table", Artemis.Monitor.Table);
-      ]
-  in
   Arg.(
     value
-    & opt (some engine_conv) None
+    & opt (some Cli.engine_conv) None
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Monitor execution backend for the campaign: \
-              $(b,interpreted), $(b,compiled) (the default) or $(b,table). \
-              All oracles must hold under every engine.")
+        ~doc:("Monitor execution backend for the campaign: " ^ Cli.engine_doc
+              ^ " (default $(b,table)).  All oracles must hold under every \
+                 engine."))
 
 let list_arg =
   Arg.(

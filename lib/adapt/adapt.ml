@@ -238,7 +238,7 @@ type outcome =
   | Applied of applied
   | Rejected of { id : int; reason : string }
 
-let create ?(engine = Monitor.Compiled) ?(admission = fun _ -> Ok ()) nvm ~app
+let create ?(engine = Monitor.Table) ?(admission = fun _ -> Ok ()) nvm ~app
     suite =
   let buffer =
     Nvm.cell nvm ~region:Staging ~name:"adapt.buffer" ~bytes:512 None
@@ -279,6 +279,8 @@ let stage ?(probe = fun _ -> ()) t update =
 (* --- validation (the device refuses an update rather than deploying a
    broken suite) --- *)
 
+(* Each accepted machine is lowered exactly once, here; [build] deploys
+   the result. *)
 let validate_structure t update =
   let current = active t in
   let missing =
@@ -301,7 +303,7 @@ let validate_structure t update =
             | Error issues -> Error (Spec.Validate.issues_to_string issues)
             | Ok () -> (
                 match Spec.Consistency.(errors (check t.app spec)) with
-                | [] -> Ok (To_fsm.spec spec)
+                | [] -> Ok (List.map Table.compile (To_fsm.spec spec))
                 | errs -> Error (Spec.Consistency.to_string errs))))
     | Some (Machine_source src) -> (
         match Parser.parse src with
@@ -310,20 +312,20 @@ let validate_structure t update =
         | Ok machines -> (
             let tasks = Task.task_names t.app in
             let check_machine (m : Ast.machine) =
-              let compiled = Compile.compile m (* typechecks; raises *) in
+              let table = Table.compile m (* typechecks; raises *) in
               match
                 List.find_opt
                   (fun task -> not (List.mem task tasks))
-                  (Compile.watched_tasks compiled)
+                  (Table.watched_tasks table)
               with
               | Some task ->
                   failwith
                     (Printf.sprintf "machine %S watches unknown task %S"
                        m.Ast.machine_name task)
-              | None -> ()
+              | None -> table
             in
-            match List.iter check_machine machines with
-            | () -> Ok machines
+            match List.map check_machine machines with
+            | tables -> Ok tables
             | exception Failure msg -> Error msg))
 
 (* Structural validation first, then the installed admission gate (the
@@ -332,9 +334,9 @@ let validate_structure t update =
 let validate t update =
   match validate_structure t update with
   | Error _ as e -> e
-  | Ok machines -> (
-      match t.admission machines with
-      | Ok () -> Ok machines
+  | Ok tables -> (
+      match t.admission (List.map Table.machine tables) with
+      | Ok () -> Ok tables
       | Error reason -> Error reason)
 
 (* --- building the next generation --- *)
@@ -343,15 +345,15 @@ let validate t update =
    injection-atomic; the only durable effects are fresh cells at their
    initial values, inert until the flip.  Replacement and added monitors
    live under a "g<N>/" prefix so both generations' cells coexist. *)
-let build t ~target update machines =
+let build t ~target update tables =
   match Hashtbl.find_opt t.suites target with
   | Some b -> b
   | None ->
       let current = (Hashtbl.find t.suites (target - 1)).suite in
       let prefix name = Printf.sprintf "g%d/%s" target name in
-      let fresh_monitor (m : Ast.machine) =
-        Monitor.create ~engine:t.engine ~cell_prefix:(prefix m.Ast.machine_name)
-          t.nvm m
+      let fresh_monitor table =
+        Monitor.create ~engine:t.engine ~cell_prefix:(prefix (Table.name table))
+          t.nvm table
       in
       let kept =
         List.filter
@@ -364,13 +366,12 @@ let build t ~target update machines =
           (fun m ->
             match
               List.find_opt
-                (fun (mach : Ast.machine) ->
-                  String.equal mach.Ast.machine_name (Monitor.name m))
-                machines
+                (fun table -> String.equal (Table.name table) (Monitor.name m))
+                tables
             with
             | None -> m
-            | Some mach ->
-                let fresh = fresh_monitor mach in
+            | Some table ->
+                let fresh = fresh_monitor table in
                 replaced := (m, fresh) :: !replaced;
                 fresh)
           kept
@@ -378,17 +379,15 @@ let build t ~target update machines =
       let added = ref [] in
       let additions =
         List.filter_map
-          (fun (mach : Ast.machine) ->
-            if
-              List.exists
-                (fun m -> String.equal (Monitor.name m) mach.Ast.machine_name)
-                kept
+          (fun table ->
+            let name = Table.name table in
+            if List.exists (fun m -> String.equal (Monitor.name m) name) kept
             then None
             else begin
-              added := mach.Ast.machine_name :: !added;
-              Some (fresh_monitor mach)
+              added := name :: !added;
+              Some (fresh_monitor table)
             end)
-          machines
+          tables
       in
       let b =
         {
@@ -427,9 +426,9 @@ let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
               | Error reason ->
                   probe "rt.adapt.validate.after";
                   reject t c id reason
-              | Ok machines ->
+              | Ok tables ->
                   probe "rt.adapt.validate.after";
-                  let b = build t ~target update machines in
+                  let b = build t ~target update tables in
                   (* Migration writes only touch the replacement's cells
                      (the retiring monitor is read-only here), so re-running
                      it after a mid-migration crash is idempotent. *)

@@ -15,8 +15,8 @@
       {!Artemis_spec.Consistency} errors, or IL parse + typecheck +
       watched-task check).  A failing update is {e rejected}, never
       half-deployed;
-    + {b build}: replacement and added monitors are compiled through the
-      existing {!Artemis_fsm.Compile} path and allocated under a
+    + {b build}: replacement and added monitors deploy the machines
+      validate lowered ({!Artemis_fsm.Table.compile}), allocated under a
       ["g<N>/"] cell prefix, so both generations' cells coexist; cell
       allocation fires no injection probe, making the build
       injection-atomic, and the built suite is cached per generation so a
@@ -100,7 +100,7 @@ val create :
   Suite.t ->
   t
 (** [create nvm ~app suite] installs [suite] as generation 0 and
-    allocates the staging cells.  [engine] (default [Compiled]) is used
+    allocates the staging cells.  [engine] (default [Table]) is used
     for monitors built by future updates.  [admission] (default: accept
     everything) runs at the end of {!validate} over the update's parsed
     machines; the runtime installs the PR 9 energy-admissibility check

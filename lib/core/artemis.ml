@@ -52,7 +52,6 @@ module Fsm = struct
   module Printer = Artemis_fsm.Printer
   module Typecheck = Artemis_fsm.Typecheck
   module Interp = Artemis_fsm.Interp
-  module Compile = Artemis_fsm.Compile
   module Table = Artemis_fsm.Table
   module Explore = Artemis_fsm.Explore
 end
@@ -123,12 +122,16 @@ let compile_exn ?options ?app spec_text =
   | Ok machines -> machines
   | Error msg -> failwith msg
 
-(** Allocate the application-specific monitors on a device's FRAM.
-    [engine] selects the execution backend (default: deploy-time compiled
-    closures; [Monitor.Interpreted] keeps the AST interpreter;
-    [Monitor.Table] runs the flat-table bytecode engine). *)
+(** Lower the machines and allocate the application-specific monitors on
+    a device's FRAM.  For one-shot callers: code that deploys the same
+    machines on many devices lowers them once with {!Fsm.Table.compile}
+    and calls {!Suite.create} per device (see [Faultsim.Scenario]).
+    [engine] selects the execution backend (default [Monitor.Table], the
+    flat-table bytecode engine; [Monitor.Interpreted] keeps the reference
+    AST interpreter).
+    @raise Failure if a machine is ill-typed. *)
 let deploy ?engine device machines =
-  Suite.create ?engine (Device.nvm device) machines
+  Suite.create ?engine (Device.nvm device) (List.map Fsm.Table.compile machines)
 
 (** Full front-to-back pipeline: parse, validate against [app], compile to
     machines, deploy on [device]. *)

@@ -4,7 +4,12 @@
     Determinism contract: [build] must construct a fresh device, fresh
     NVM and fresh monitors every time, with no dependence on wall-clock
     time or global mutable state, so that two runs of the same injection
-    schedule produce byte-identical traces. *)
+    schedule produce byte-identical traces.
+
+    Each scenario lowers its property spec (parse, validate, [To_fsm],
+    {!Artemis.Fsm.Table.compile}) once, on its first [build], and every
+    later build - from any domain, and through every wrapper below -
+    deploys fresh monitors over the same immutable lowered tables. *)
 
 open Artemis
 
@@ -34,7 +39,7 @@ type t = {
   description : string;
   build : engine:Monitor.engine option -> seed:int -> built;
       (** [seed] feeds the task-context PRNG; [engine] selects the
-          monitor execution backend (default [Compiled]) *)
+          monitor execution backend (default [Table]) *)
 }
 
 val quickstart : t

@@ -124,15 +124,16 @@ type spec = {
   backends : string list;
 }
 
+(* "default" leaves the choice to the scenario *)
 let engine_of_string = function
   | "default" -> Ok None
-  | "interpreted" -> Ok (Some Monitor.Interpreted)
-  | "compiled" -> Ok (Some Monitor.Compiled)
-  | "table" -> Ok (Some Monitor.Table)
-  | other ->
-      Error
-        (Printf.sprintf "unknown engine %S (default|interpreted|compiled|table)"
-           other)
+  | name -> (
+      match Monitor.engine_of_string name with
+      | Ok e -> Ok (Some e)
+      | Error _ ->
+          Error
+            (Printf.sprintf "unknown engine %S (%s)" name
+               (String.concat "|" ("default" :: List.map fst Monitor.engines))))
 
 let backend_of_string name =
   match Backends.find name with

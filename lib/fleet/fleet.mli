@@ -49,7 +49,7 @@ type spec = {
   seed_count : int;  (** seeds [seed_first .. seed_first+seed_count-1] *)
   profiles : profile list;
   engines : string list;
-      (** ["default"] or {!Artemis.Monitor} engine names *)
+      (** ["default"] or a {!Artemis.Monitor.engines} name *)
   backends : string list;
       (** {!Artemis.Backends} names (PR 10); every device in the sweep
           runs its scenario under the named task-execution backend *)
@@ -60,7 +60,7 @@ val spec_of_json : string -> (spec, string) result
     [{"name": "smoke", "scenarios": ["quickstart"],
       "seeds": {"first": 0, "count": 100},
       "harvesters": ["default", "fixed:30s", "duty:200uw"],
-      "engines": ["compiled", "table"],
+      "engines": ["interpreted", "table"],
       "backends": ["immortal", "alpaca"]}].
     [name] defaults to ["fleet"], [seeds.first] to [0], [harvesters] to
     [["default"]], [engines] to [["default"]] and [backends] to

@@ -50,16 +50,6 @@ val step : Ast.machine -> store -> event -> failure list
 val eval_expr : Ast.machine -> store -> event -> Ast.expr -> Ast.value
 (** Exposed for tests. @raise Runtime_error *)
 
-val as_bool : Ast.value -> bool
-(** @raise Runtime_error on a non-bool.  Shared with {!Compile} so both
-    execution engines report identical dynamic errors. *)
-
-val eval_binop : Ast.binop -> Ast.value -> Ast.value -> Ast.value
-(** Strict binary-operator semantics (no short-circuit; [And]/[Or] expect
-    already-evaluated operands).  The single source of truth for operator
-    behaviour and error messages, reused by the compiled engine.
-    @raise Runtime_error on division/modulo by zero or ill-typed operands. *)
-
 val mentions_task : Ast.machine -> string -> bool
 (** Does any trigger of the machine apply to this task?  [On_any]
     triggers match every task, so a machine using one watches all tasks.

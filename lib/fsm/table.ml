@@ -146,20 +146,6 @@ type t = {
   task_ids : Strmap.t;  (* watched task -> dispatch column *)
   n_tasks : int;
   row_shift : int;  (* dispatch row stride = 1 lsl row_shift >= n_tasks + 1 *)
-  (* direct-mapped dispatch memo, indexed by the cheap string hash: an
-     app's task loop reuses the same name strings event after event, so
-     after one pass every lookup is two loads and a physical-equality
-     check.  Sound because equal pointers imply equal contents imply the
-     same column; a colliding or fresh string just re-probes [task_ids]
-     and overwrites its slot. *)
-  memo_keys : string array;
-  memo_cols : int array;
-  memo_mask : int;
-  (* the slot the previous event's task hashed to: consecutive events
-     usually repeat a task string (start/end pairs), and re-probing that
-     slot first skips the hash.  An int field, so updating it never hits
-     the write barrier. *)
-  mutable last_h : int;
   (* dispatch.(((state * 2) + kind) * (n_tasks + 1) + task) is an offset
      into [cands] ([count; tr; tr; ...] segments, shared between rows
      with identical candidate lists) or -1 for "no transition can
@@ -468,7 +454,7 @@ let compile (m : machine) =
         incr n_iregs
       end)
     var_is_float;
-  (* watched tasks in first-mention order, as in Compile *)
+  (* watched tasks in first-mention order *)
   let watched_tbl = Hashtbl.create 8 in
   let watched = ref [] in
   let any_event = ref false in
@@ -668,10 +654,6 @@ let compile (m : machine) =
     dispatch;
     cands = varray cands;
     row_shift;
-    memo_keys = Array.make 16 Strmap.sentinel;
-    memo_cols = Array.make 16 0;
-    memo_mask = 15;
-    last_h = 0;
     tr_guard_pc;
     tr_body_pc;
     tr_target;
@@ -723,89 +705,78 @@ let float_regs t = t.n_fregs
 
 (* --- instances --- *)
 
+(* Everything [step] writes lives here, never in [t]: a lowered table is
+   shared by every device of a scenario, and those devices step on
+   several domains at once. *)
 type inst = {
   ints : int array;
   floats : float array;
-  ibase : int;
-  fbase : int;
   istack : int array;
   fstack : float array;
   mutable failures : Interp.failure list;  (* reverse emission order *)
   var_sink : int -> unit;
   state_sink : int -> unit;
   sinks : bool;  (* false = both sinks are [no_sink]; skip the calls *)
+  (* direct-mapped dispatch memo, indexed by the cheap string hash: an
+     app's task loop reuses the same name strings event after event, so
+     after one pass every lookup is two loads and a physical-equality
+     check.  Sound because equal pointers imply equal contents imply the
+     same column; a colliding or fresh string just re-probes [task_ids]
+     and overwrites its slot. *)
+  memo_keys : string array;
+  memo_cols : int array;
+  (* the slot the previous event's task hashed to: consecutive events
+     usually repeat a task string (start/end pairs), and re-probing that
+     slot first skips the hash.  An int field, so updating it never hits
+     the write barrier. *)
+  mutable last_h : int;
 }
+
+let memo_mask = 15
 
 let no_sink (_ : int) = ()
 
-let current_state inst = inst.ints.(inst.ibase)
-let set_state inst s = inst.ints.(inst.ibase) <- s
+let current_state inst = inst.ints.(0)
+let set_state inst s = inst.ints.(0) <- s
 
 let load_var t inst slot v =
   let reg = t.var_reg.(slot) in
   match v with
-  | Vint n -> inst.ints.(inst.ibase + reg) <- n
-  | Vbool b -> inst.ints.(inst.ibase + reg) <- (if b then 1 else 0)
-  | Vtime tt -> inst.ints.(inst.ibase + reg) <- Time.to_us tt
-  | Vfloat x -> inst.floats.(inst.fbase + reg) <- x
+  | Vint n -> inst.ints.(reg) <- n
+  | Vbool b -> inst.ints.(reg) <- (if b then 1 else 0)
+  | Vtime tt -> inst.ints.(reg) <- Time.to_us tt
+  | Vfloat x -> inst.floats.(reg) <- x
 
 let read_var t inst slot =
   let reg = t.var_reg.(slot) in
   match t.var_decl_arr.(slot).ty with
-  | Tint -> Vint inst.ints.(inst.ibase + reg)
-  | Tbool -> Vbool (inst.ints.(inst.ibase + reg) <> 0)
-  | Ttime -> Vtime (Time.of_us inst.ints.(inst.ibase + reg))
-  | Tfloat -> Vfloat inst.floats.(inst.fbase + reg)
+  | Tint -> Vint inst.ints.(reg)
+  | Tbool -> Vbool (inst.ints.(reg) <> 0)
+  | Ttime -> Vtime (Time.of_us inst.ints.(reg))
+  | Tfloat -> Vfloat inst.floats.(reg)
 
 let reset_vars t inst =
   set_state inst t.initial;
   Array.iteri (fun slot v -> load_var t inst slot v.init) t.var_decl_arr
 
-let make_inst t ~ints ~floats ~ibase ~fbase ~var_sink ~state_sink =
+let instance ?(var_sink = no_sink) ?(state_sink = no_sink) t =
   let inst =
     {
-      ints;
-      floats;
-      ibase;
-      fbase;
+      ints = Array.make t.n_iregs 0;
+      floats = Array.make (max 1 t.n_fregs) 0.;
       istack = Array.make (max 1 t.stack_i) 0;
       fstack = Array.make (max 1 t.stack_f) 0.;
       failures = [];
       var_sink;
       state_sink;
       sinks = not (var_sink == no_sink && state_sink == no_sink);
+      memo_keys = Array.make (memo_mask + 1) Strmap.sentinel;
+      memo_cols = Array.make (memo_mask + 1) 0;
+      last_h = 0;
     }
   in
   reset_vars t inst;
   inst
-
-let instance ?(var_sink = no_sink) ?(state_sink = no_sink) t =
-  make_inst t
-    ~ints:(Array.make t.n_iregs 0)
-    ~floats:(Array.make (max 1 t.n_fregs) 0.)
-    ~ibase:0 ~fbase:0 ~var_sink ~state_sink
-
-type packed = { p_ints : int array; p_floats : float array; p_insts : inst list }
-
-let pack ts =
-  let ni = List.fold_left (fun acc t -> acc + t.n_iregs) 0 ts in
-  let nf = List.fold_left (fun acc t -> acc + t.n_fregs) 0 ts in
-  let p_ints = Array.make (max 1 ni) 0 in
-  let p_floats = Array.make (max 1 nf) 0. in
-  let ib = ref 0 and fb = ref 0 in
-  let p_insts =
-    List.map
-      (fun t ->
-        let inst =
-          make_inst t ~ints:p_ints ~floats:p_floats ~ibase:!ib ~fbase:!fb
-            ~var_sink:no_sink ~state_sink:no_sink
-        in
-        ib := !ib + t.n_iregs;
-        fb := !fb + t.n_fregs;
-        inst)
-      ts
-  in
-  { p_ints; p_floats; p_insts }
 
 (* --- execution --- *)
 
@@ -830,7 +801,6 @@ let rec dep_find key = function
 let exec t inst (ev : Interp.event) pc0 =
   let code = t.code in
   let ints = inst.ints and floats = inst.floats in
-  let ib = inst.ibase and fb = inst.fbase in
   let istack = inst.istack and fstack = inst.fstack in
   let pc = ref pc0 and isp = ref 0 and fsp = ref 0 in
   let running = ref true in
@@ -849,25 +819,25 @@ let exec t inst (ev : Interp.event) pc0 =
         pc := !pc + 2
     | 3 (* ILOAD *) ->
         Array.unsafe_set istack !isp
-          (Array.unsafe_get ints (ib + Array.unsafe_get code (!pc + 1)));
+          (Array.unsafe_get ints (Array.unsafe_get code (!pc + 1)));
         isp := !isp + 1;
         pc := !pc + 2
     | 4 (* FLOAD *) ->
         Array.unsafe_set fstack !fsp
-          (Array.unsafe_get floats (fb + Array.unsafe_get code (!pc + 1)));
+          (Array.unsafe_get floats (Array.unsafe_get code (!pc + 1)));
         fsp := !fsp + 1;
         pc := !pc + 2
     | 5 (* ISTORE *) ->
         isp := !isp - 1;
         Array.unsafe_set ints
-          (ib + Array.unsafe_get code (!pc + 1))
+          (Array.unsafe_get code (!pc + 1))
           (Array.unsafe_get istack !isp);
         if inst.sinks then inst.var_sink (Array.unsafe_get code (!pc + 2));
         pc := !pc + 3
     | 6 (* FSTORE *) ->
         fsp := !fsp - 1;
         Array.unsafe_set floats
-          (fb + Array.unsafe_get code (!pc + 1))
+          (Array.unsafe_get code (!pc + 1))
           (Array.unsafe_get fstack !fsp);
         if inst.sinks then inst.var_sink (Array.unsafe_get code (!pc + 2));
         pc := !pc + 3
@@ -1068,25 +1038,25 @@ let step t inst (ev : Interp.event) =
   let col =
     (* front cache first (no hash), then the memo slot the task really
        hashes to, then the full probe *)
-    let lh = t.last_h in
-    if Array.unsafe_get t.memo_keys lh == task then
-      Array.unsafe_get t.memo_cols lh
+    let lh = inst.last_h in
+    if Array.unsafe_get inst.memo_keys lh == task then
+      Array.unsafe_get inst.memo_cols lh
     else begin
-      let h = Strmap.hash task land t.memo_mask in
-      t.last_h <- h;
-      if Array.unsafe_get t.memo_keys h == task then
-        Array.unsafe_get t.memo_cols h
+      let h = Strmap.hash task land memo_mask in
+      inst.last_h <- h;
+      if Array.unsafe_get inst.memo_keys h == task then
+        Array.unsafe_get inst.memo_cols h
       else begin
         let c = Strmap.find t.task_ids task ~default:t.n_tasks in
-        Array.unsafe_set t.memo_keys h task;
-        Array.unsafe_set t.memo_cols h c;
+        Array.unsafe_set inst.memo_keys h task;
+        Array.unsafe_set inst.memo_cols h c;
         c
       end
     end
   in
   let seg =
     Array.unsafe_get t.dispatch
-      (((((Array.unsafe_get inst.ints inst.ibase * 2) + kind) lsl t.row_shift)
+      (((((Array.unsafe_get inst.ints 0 * 2) + kind) lsl t.row_shift)
        + col))
   in
   if seg < 0 then [] (* implicit self-transition *)
@@ -1108,8 +1078,7 @@ let step t inst (ev : Interp.event) =
         end
         else begin
           let v0 =
-            Array.unsafe_get inst.ints
-              (inst.ibase + Array.unsafe_get t.tr_qg_reg tr)
+            Array.unsafe_get inst.ints (Array.unsafe_get t.tr_qg_reg tr)
           in
           let v =
             if q >= 8 then Time.to_us ev.Interp.timestamp - v0 else v0
@@ -1139,7 +1108,7 @@ let step t inst (ev : Interp.event) =
         else begin
           (* quick bodies contain no FAIL, so the result is always [] *)
           if qb >= 2 then begin
-            let at = inst.ibase + Array.unsafe_get t.tr_qb_reg tr in
+            let at = Array.unsafe_get t.tr_qb_reg tr in
             let v =
               if qb = 2 then Array.unsafe_get t.tr_qb_k tr
               else if qb = 3 then
@@ -1154,7 +1123,7 @@ let step t inst (ev : Interp.event) =
         end
       in
       let tgt = Array.unsafe_get t.tr_target tr in
-      Array.unsafe_set inst.ints inst.ibase tgt;
+      Array.unsafe_set inst.ints 0 tgt;
       if inst.sinks then inst.state_sink tgt;
       result
     end

@@ -1,9 +1,8 @@
 (** Table-driven monitor engine: machines lowered to flat integer arrays.
 
-    The third execution engine (after {!Interp} and {!Compile}).  Where
-    the closure-compiled engine still allocates a closure per compiled
-    expression node and chases a pointer per call, this pass lowers a
-    typechecked machine into dense integer tables:
+    The production engine; {!Interp} is the reference semantics it is
+    checked against.  This pass lowers a typechecked machine into dense
+    integer tables:
 
     - states, variables and watched tasks are interned to dense ids;
     - trigger dispatch is one dense [(state, kind, task) -> candidates]
@@ -20,13 +19,17 @@
     happens at run time.  A steady-state step - dispatch, guard
     evaluation, body execution, state update - allocates nothing
     (enforced by a [Gc.minor_words] test) and touches only the
-    machine's contiguous register block.
+    instance's register block.
 
-    {!Interp} remains the reference semantics: for every machine, store
-    and event trace, {!step} is observationally equivalent to
-    {!Interp.step} and {!Compile.step} - same states, same variable
-    values, same failures, same dynamic errors with identical messages
-    - enforced by the three-way differential fuzz tests. *)
+    A lowered {!t} is immutable: everything a step writes lives in its
+    {!inst}.  A scenario lowers each machine once and every device
+    deploys its own instance of the shared table, including devices
+    stepping on different domains at the same time.
+
+    For every machine, store and event trace, {!step} is observationally
+    equivalent to {!Interp.step} - same states, same variable values,
+    same failures, same dynamic errors with identical messages -
+    enforced by the differential fuzz tests. *)
 
 type t
 (** A lowered machine: immutable tables shared by all its instances. *)
@@ -52,7 +55,7 @@ val var_name : t -> int -> string
 
 val var_id : t -> string -> int
 (** @raise Not_found for an unknown variable name.  Slots are variable
-    declaration order, compatible with {!Compile.var_id}. *)
+    declaration order. *)
 
 val var_decls : t -> Ast.var_decl array
 
@@ -83,12 +86,10 @@ val float_regs : t -> int
 
 (** {2 Instances}
 
-    An instance is a machine's mutable run state: a block of int
+    An instance is one deployment's mutable run state: a block of int
     registers (register 0 is the control state) and a block of float
-    registers, plus reusable operand-stack scratch.  [pack] lays several
-    machines' registers out in one shared pair of arrays, so a whole
-    suite's monitor state is two contiguous buffers - snapshotable with
-    two [Array.copy]. *)
+    registers, reusable operand-stack scratch, and the task-dispatch
+    memo. *)
 
 type inst
 
@@ -98,25 +99,16 @@ val instance :
     [var_sink slot] is called immediately after each variable
     assignment commits to the register file, [state_sink id] after a
     fired transition updates the control state - the NVM-backed monitor
-    uses them to write the same FRAM cells the other engines write, in
-    the same order.  Both default to no-ops (the memory-backed form). *)
-
-type packed = {
-  p_ints : int array;  (** every instance's int registers, contiguous *)
-  p_floats : float array;
-  p_insts : inst list;  (** same order as the input tables *)
-}
-
-val pack : t list -> packed
-(** One contiguous register buffer for a whole suite of machines. *)
+    uses them to write its FRAM cells in program order.  Both default
+    to no-ops (the memory-backed form). *)
 
 val step : t -> inst -> Interp.event -> Interp.failure list
 (** Process one event; the first trigger-and-guard-matching transition
     of the current state fires, in declaration order, exactly as
     {!Interp.step}.  Returns [[]] (no allocation) on the steady-state
     path.  @raise Interp.Runtime_error on the same dynamic errors as
-    the other engines (missing [data(x)] payload, division by zero),
-    with identical messages. *)
+    {!Interp.step} (missing [data(x)] payload, division by zero), with
+    identical messages. *)
 
 val current_state : inst -> int
 val set_state : inst -> int -> unit

@@ -3,10 +3,10 @@
     ImmortalThreads-generated C monitors of Section 4.2.3 - it survives
     power failures without losing track of the properties it checks.
 
-    The machine is compiled once at deploy time ({!Compile}): variables
-    live in a slot-indexed array of FRAM cells, the control state is an
-    interned id, and event dispatch is a hash lookup - the per-event path
-    does no list scans or string comparisons. *)
+    The machine arrives already lowered ({!Table.compile}): a scenario
+    lowers each property once and every device deploys it, so creating
+    a monitor only allocates per-device state - one FRAM cell per
+    variable plus a state cell, and a {!Table.inst} register file. *)
 
 open Artemis_nvm
 open Artemis_fsm
@@ -16,33 +16,39 @@ type t
 type engine =
   | Interpreted
       (** Reference semantics: {!Interp.step} over the AST.  Kept for
-          differential testing and the interpreted-vs-compiled bench. *)
-  | Compiled  (** Deploy-time compiled closures ({!Compile.step}). *)
+          differential testing and the interpreted-vs-table bench. *)
   | Table
       (** Flat-table bytecode engine ({!Table.step}): dense dispatch plus
           postfix bytecode over an int/float register file.  The FRAM
           cells stay authoritative — registers are refreshed from the
           cells before each step and every assignment is written through
           to its cell in program order, so footprint accounting and
-          crash recovery are identical to the other engines. *)
+          crash recovery are identical to the reference engine. *)
 
-val create : ?engine:engine -> ?cell_prefix:string -> Nvm.t -> Ast.machine -> t
-(** Typechecks and compiles the machine, then allocates one FRAM cell per
-    variable plus a state cell, all in the [Monitor] region (their bytes
-    are what Table 2 reports as monitor FRAM).  [engine] defaults to
-    [Compiled]; both engines operate on the same FRAM cells and are
-    observationally equivalent.  [cell_prefix] overrides the machine name
-    as the cell-name prefix — the live-adaptation protocol deploys
-    replacement generations under ["g<N>/<machine>"] so both generations'
-    cells coexist until the generation flip commits.
-    @raise Failure if the machine is ill-typed. *)
+val engines : (string * engine) list
+(** Every engine by its command-line and fleet-spec name. *)
+
+val engine_of_string : string -> (engine, string) result
+(** Look a name up in {!engines}; the error names the valid engines. *)
+
+val create : ?engine:engine -> ?cell_prefix:string -> Nvm.t -> Table.t -> t
+(** Allocate one FRAM cell per variable plus a state cell, all in the
+    [Monitor] region (their bytes are what Table 2 reports as monitor
+    FRAM), and a fresh instance of the shared lowered machine.
+    [engine] defaults to [Table]; both engines operate on the same FRAM
+    cells and are observationally equivalent.  [cell_prefix] overrides
+    the machine name as the cell-name prefix — the live-adaptation
+    protocol deploys replacement generations under ["g<N>/<machine>"]
+    so both generations' cells coexist until the generation flip
+    commits. *)
 
 val name : t -> string
 val machine : t -> Ast.machine
 val engine : t -> engine
 
-val compiled : t -> Compile.t
-(** The compiled form (interning tables, static trigger information). *)
+val table : t -> Table.t
+(** The lowered machine (interning tables, static trigger information),
+    physically shared with every other deployment of the same lowering. *)
 
 val hard_reset : t -> unit
 (** First-boot initialisation ([resetMonitor], Figure 8 line 14). *)

@@ -12,8 +12,9 @@ open Artemis_fsm
 
 type t
 
-val create : ?engine:Monitor.engine -> Nvm.t -> Ast.machine list -> t
-(** [engine] defaults to [Compiled] (see {!Monitor.create}). *)
+val create : ?engine:Monitor.engine -> Nvm.t -> Table.t list -> t
+(** Deploy one monitor per lowered machine, in order.  [engine] defaults
+    to [Table] (see {!Monitor.create}). *)
 
 val of_monitors : Monitor.t list -> t
 (** Build a suite (and its dispatch index) over already-created monitors.

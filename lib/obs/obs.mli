@@ -18,7 +18,7 @@
       corrective actions and brown-outs.
 
     Both halves are {b off by default} and guarded by a single boolean
-    check, so the compiled monitor fast path keeps its PR1 numbers when
+    check, so the monitor fast path keeps its numbers when
     observability is disabled (the bench tracks this contract).
 
     Since PR 5 the layer is split in two:

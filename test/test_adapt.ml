@@ -103,8 +103,8 @@ let start_a i =
 let setup () =
   let nvm = Nvm.create () in
   let app = small_app () in
-  let machine = Fsm.Parser.parse_machine_exn counter_src in
-  let suite = Suite.create nvm [ machine ] in
+  let table = Fsm.Table.compile (Fsm.Parser.parse_machine_exn counter_src) in
+  let suite = Suite.create nvm [ table ] in
   Suite.hard_reset suite;
   let mgr = Adapt.create nvm ~app suite in
   (nvm, mgr)
@@ -289,7 +289,7 @@ let test_differential_replay () =
        (function Runtime.Adapted { id = 1; _ } -> true | _ -> false)
        result.Runtime.journal);
   let gnvm = Nvm.create () in
-  let golden0 = Suite.create gnvm machines in
+  let golden0 = Suite.create gnvm (List.map Monitor.table (Suite.monitors suite)) in
   Suite.hard_reset golden0;
   let mgr = Adapt.create gnvm ~app golden0 in
   let golden = ref golden0 in

@@ -202,12 +202,10 @@ let test_adapt_rejects_inadmissible_update () =
 
 (* --- bound domination: static bound >= every measured call attempt --- *)
 
-let engines = [ Monitor.Interpreted; Monitor.Compiled; Monitor.Table ]
+let engines = List.map snd Monitor.engines
 
-let engine_name = function
-  | Monitor.Interpreted -> "interpreted"
-  | Monitor.Compiled -> "compiled"
-  | Monitor.Table -> "table"
+let engine_name engine =
+  fst (List.find (fun (_, e) -> e = engine) Monitor.engines)
 
 (* The static bound for everything a run could ever execute: the deployed
    suite plus every scheduled OTA payload.  Summing over the superset
@@ -344,7 +342,7 @@ let fuzzed_bound_domination =
         { Runtime.default_config with max_loop_iterations = 1500; deployment }
       in
       let device = Helpers.tiny_device ~usable_mj:3. () in
-      let suite = Suite.create ~engine (Device.nvm device) [ m ] in
+      let suite = Suite.create ~engine (Device.nvm device) [ Fsm.Table.compile m ] in
       let bound =
         Ea.suite_call_bound ~deployment ~model:config.Runtime.cost_model
           [ Ea.property_bound ~deployment ~model:config.Runtime.cost_model m ]

@@ -2,6 +2,8 @@ open Artemis
 module F = Fsm.Ast
 module Interp = Fsm.Interp
 
+let lower text = Fsm.Table.compile (Fsm.Parser.parse_machine_exn text)
+
 let machine_text =
   {|
 machine m {
@@ -18,7 +20,7 @@ machine m {
 
 let make () =
   let nvm = Nvm.create () in
-  let monitor = Monitor.create nvm (Fsm.Parser.parse_machine_exn machine_text) in
+  let monitor = Monitor.create nvm (lower machine_text) in
   (nvm, monitor)
 
 let test_state_survives_power_failure () =
@@ -45,12 +47,11 @@ let test_reinitialize_preserves_persistent () =
     (Monitor.read_var m "keep")
 
 let test_ill_typed_rejected () =
-  let nvm = Nvm.create () in
   let bad =
     Fsm.Parser.parse_machine_exn
       "machine bad { initial state A { on startTask(t) when (zz > 1); } }"
   in
-  match Monitor.create nvm bad with
+  match deploy (Device.create ()) [ bad ] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "ill-typed machine accepted"
 
@@ -84,7 +85,7 @@ let test_read_var_unknown () =
 let test_suite_step_all_order () =
   let nvm = Nvm.create () in
   let mk name action =
-    Fsm.Parser.parse_machine_exn
+    lower
       (Printf.sprintf
          "machine %s { initial state A { on startTask(t) { fail %s; }; } }" name
          action)
@@ -119,9 +120,9 @@ let test_reinit_for_tasks () =
   let suite =
     Suite.create nvm
       [
-        Fsm.Parser.parse_machine_exn
+        lower
           "machine watches_a { var x : int = 0; initial state S { on startTask(a) { x := 1; }; } }";
-        Fsm.Parser.parse_machine_exn
+        lower
           "machine watches_b { var x : int = 0; initial state S { on startTask(b) { x := 1; }; } }";
       ]
   in
@@ -144,7 +145,7 @@ let test_reinit_on_any () =
   let suite =
     Suite.create nvm
       [
-        Fsm.Parser.parse_machine_exn
+        lower
           "machine anyonly { var x : int = 0; initial state S { on anyEvent { x := 1; }; } }";
       ]
   in
@@ -160,11 +161,11 @@ let test_dispatch_skips_non_watching () =
   let suite =
     Suite.create nvm
       [
-        Fsm.Parser.parse_machine_exn
+        lower
           "machine watches_a { initial state S { on startTask(a); } }";
-        Fsm.Parser.parse_machine_exn
+        lower
           "machine watches_b { initial state S { on startTask(b); } }";
-        Fsm.Parser.parse_machine_exn
+        lower
           "machine anyonly { initial state S { on anyEvent; } }";
       ]
   in
@@ -185,7 +186,7 @@ let test_engines_agree_over_nvm () =
   let step_with engine =
     let nvm = Nvm.create () in
     let m =
-      Monitor.create ~engine nvm (Fsm.Parser.parse_machine_exn machine_text)
+      Monitor.create ~engine nvm (lower machine_text)
     in
     ignore (Monitor.step m (Helpers.event ~task:"t" ()));
     Nvm.power_failure nvm;
@@ -194,10 +195,10 @@ let test_engines_agree_over_nvm () =
     (Monitor.current_state m, Monitor.read_var m "x", Monitor.read_var m "keep")
   in
   let si, xi, ki = step_with Monitor.Interpreted in
-  let sc, xc, kc = step_with Monitor.Compiled in
-  Alcotest.(check string) "same state" si sc;
-  Alcotest.check Helpers.value "same x" xi xc;
-  Alcotest.check Helpers.value "same keep" ki kc
+  let st, xt, kt = step_with Monitor.Table in
+  Alcotest.(check string) "same state" si st;
+  Alcotest.check Helpers.value "same x" xi xt;
+  Alcotest.check Helpers.value "same keep" ki kt
 
 let suite =
   [

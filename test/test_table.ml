@@ -1,13 +1,13 @@
 (* Unit tests for the flat-table bytecode engine (Fsm.Table): interning,
    CSR dispatch lookup, bytecode edge cases (division by zero, NaN), the
-   packed suite buffer, the zero-allocation steady-state contract, and a
-   faultsim depth-1 campaign under the Table engine.  Randomized
-   three-way equivalence lives in test_differential.ml. *)
+   zero-allocation steady-state contract, lowering once per scenario, and
+   a faultsim depth-1 campaign under the Table engine; [compile_suite]
+   pins the lowering contract itself on handcrafted machines.  Randomized
+   equivalence with the interpreter lives in test_differential.ml. *)
 
 open Artemis
 module F = Fsm.Ast
 module Interp = Fsm.Interp
-module Compile = Fsm.Compile
 module Table = Fsm.Table
 
 let parse = Fsm.Parser.parse_machine_exn
@@ -38,7 +38,6 @@ machine m {
 let test_interning () =
   let m = parse machine_text in
   let t = Table.compile m in
-  let c = Compile.compile m in
   Alcotest.(check int) "state count" 2 (Table.state_count t);
   Alcotest.(check string) "state 0" "A" (Table.state_name t 0);
   Alcotest.(check string) "state 1" "B" (Table.state_name t 1);
@@ -47,13 +46,11 @@ let test_interning () =
   Alcotest.(check int) "var count" 2 (Table.var_count t);
   Alcotest.(check string) "slot 0" "x" (Table.var_name t 0);
   Alcotest.(check int) "slot of keep" 1 (Table.var_id t "keep");
-  (* slot numbering is shared with the compiled engine, so NVM cell
-     layouts are interchangeable between engines *)
-  List.iter
-    (fun (v : F.var_decl) ->
-      Alcotest.(check int)
-        ("slot of " ^ v.F.var_name)
-        (Compile.var_id c v.F.var_name)
+  (* slots are declaration order: the NVM monitor's cell array and the
+     interpreter's name-resolving store both rely on it *)
+  List.iteri
+    (fun slot (v : F.var_decl) ->
+      Alcotest.(check int) ("slot of " ^ v.F.var_name) slot
         (Table.var_id t v.F.var_name))
     m.F.vars;
   (match Table.state_id t "nope" with
@@ -214,35 +211,35 @@ machine hot {
   if delta > 256. then
     Alcotest.failf "10k steps allocated %.0f minor words (want ~0)" delta
 
-let test_packed_suite () =
-  let m1 = parse machine_text in
-  let m2 =
-    parse
-      {|
-machine other {
-  var f : float = 2.5;
-  initial state S {
-    on startTask(u) { f := f + 0.5; } -> S;
-  }
-}
-|}
+(* Lowering once per scenario: every build of a scenario - and of every
+   wrapper around it, from any domain - deploys monitors over the very
+   same lowered tables. *)
+let test_scenarios_share_tables () =
+  let module S = Artemis_faultsim.Scenario in
+  let tables (sc : S.t) =
+    List.map Monitor.table (Suite.monitors (sc.S.build ~engine:None ~seed:1).S.suite)
   in
-  let t1 = Table.compile m1 and t2 = Table.compile m2 in
-  let packed = Table.pack [ t1; t2 ] in
-  Alcotest.(check int) "ints contiguous"
-    (Table.int_regs t1 + Table.int_regs t2)
-    (Array.length packed.Table.p_ints);
-  (match packed.Table.p_insts with
-  | [ i1; i2 ] ->
-      ignore (Table.step t1 i1 (Helpers.event ~task:"t" ()));
-      ignore (Table.step t2 i2 (Helpers.event ~task:"u" ()));
-      Alcotest.(check int) "machine 1 stepped" 1 (Table.current_state i1);
-      Alcotest.check Helpers.value "machine 2 stepped" (F.Vfloat 3.0)
-        (Table.read_var t2 i2 0);
-      (* both live in the one shared register pair *)
-      Alcotest.(check int) "suite state visible in shared buffer" 1
-        packed.Table.p_ints.(0)
-  | _ -> Alcotest.fail "two instances expected")
+  let shared what a b =
+    Alcotest.(check int) (what ^ ": same machine count") (List.length a)
+      (List.length b);
+    List.iter2
+      (fun x y ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s physically shared" what (Table.name x))
+          true (x == y))
+      a b
+  in
+  let base = tables S.quickstart in
+  shared "second build" base (tables S.quickstart);
+  shared "with_engine" base (tables (S.with_engine Monitor.Interpreted S.quickstart));
+  shared "with_adaptations" base (tables S.quickstart_adapt);
+  shared "with_freshness" base (tables S.quickstart_fresh);
+  shared "with_backend" base (tables S.quickstart_alpaca);
+  let health = tables S.health in
+  Alcotest.(check int) "health deploys 8 properties" 8 (List.length health);
+  List.iter
+    (fun other -> shared "build on another domain" health other)
+    (Par.map_list ~jobs:2 (fun _ -> tables S.health) [ 1; 2; 3; 4 ])
 
 (* the crash-recovery contract under the table engine: depth-1 exhaustive
    fault injection on quickstart, all four oracles green *)
@@ -264,7 +261,146 @@ let suite =
     Alcotest.test_case "missing data() payload" `Quick test_missing_dep_data;
     Alcotest.test_case "NaN semantics" `Quick test_nan_semantics;
     Alcotest.test_case "zero allocation per step" `Quick test_zero_allocation;
-    Alcotest.test_case "packed suite buffer" `Quick test_packed_suite;
+    Alcotest.test_case "scenario builds share lowered tables" `Quick
+      test_scenarios_share_tables;
     Alcotest.test_case "faultsim depth-1 (table engine)" `Quick
       test_faultsim_depth1_table;
+  ]
+
+(* --- the lowering contract (Table.compile) on handcrafted machines --- *)
+
+let test_instance_initials () =
+  let t = Table.compile (parse machine_text) in
+  let inst = Table.instance t in
+  Alcotest.(check int) "starts in initial" 0 (Table.current_state inst);
+  Alcotest.check Helpers.value "x init" (F.Vint 0) (Table.read_var t inst 0);
+  Alcotest.check Helpers.value "keep init" (F.Vint 7) (Table.read_var t inst 1)
+
+let test_step_matches_interpreter () =
+  let m = parse machine_text in
+  let t = Table.compile m in
+  let istore = Interp.memory_store m and inst = Table.instance t in
+  let feed ev =
+    let fi = Interp.step m istore ev and ft = Table.step t inst ev in
+    Alcotest.(check (list failure)) "same failures" fi ft;
+    Alcotest.(check string) "same state"
+      (istore.Interp.get_state ())
+      (Table.state_name t (Table.current_state inst))
+  in
+  (* drives both the guarded fast path and the fail fallback *)
+  List.iter feed
+    [
+      Helpers.event ~task:"t" ();
+      Helpers.event ~kind:Interp.End ~task:"t" ();
+      Helpers.event ~task:"t" ();
+      Helpers.event ~kind:Interp.End ~task:"t" ();
+      Helpers.event ~task:"t" ();  (* x = 2: guard fails, second fires *)
+      Helpers.event ~task:"other" ();  (* implicit self-transition *)
+    ];
+  Alcotest.check Helpers.value "x saturated" (F.Vint 2) (Table.read_var t inst 0)
+
+let test_declaration_order_dispatch () =
+  (* anyEvent declared before the task-specific transition must win when
+     both can fire - the dispatch rows preserve declaration order. *)
+  let m =
+    parse
+      {|
+machine order {
+  var hit : int = 0;
+  initial state A {
+    on anyEvent { hit := 1; } -> A;
+    on startTask(t) { hit := 2; } -> A;
+  }
+}
+|}
+  in
+  let t = Table.compile m in
+  let inst = Table.instance t in
+  ignore (Table.step t inst (Helpers.event ~task:"t" ()));
+  Alcotest.check Helpers.value "anyEvent fired first" (F.Vint 1)
+    (Table.read_var t inst 0)
+
+let test_unknown_task_falls_back_to_any () =
+  let m =
+    parse
+      {|
+machine fb {
+  var n : int = 0;
+  initial state A {
+    on startTask(t) { n := 100; } -> A;
+    on anyEvent { n := n + 1; } -> A;
+  }
+}
+|}
+  in
+  let t = Table.compile m in
+  let inst = Table.instance t in
+  ignore (Table.step t inst (Helpers.event ~task:"unknown" ()));
+  ignore (Table.step t inst (Helpers.event ~kind:Interp.End ~task:"zz" ()));
+  Alcotest.check Helpers.value "anyEvent handled both" (F.Vint 2)
+    (Table.read_var t inst 0)
+
+let test_dynamic_errors_match () =
+  let msg run =
+    match run () with
+    | _ -> Alcotest.fail "expected Runtime_error"
+    | exception Interp.Runtime_error e -> e
+  in
+  List.iter
+    (fun (src, ev) ->
+      let m = parse src in
+      let t = Table.compile m in
+      Alcotest.(check string) "same error message"
+        (msg (fun () -> Interp.step m (Interp.memory_store m) ev))
+        (msg (fun () -> Table.step t (Table.instance t) ev)))
+    [
+      ( {|machine err { var f : float = 0.0;
+           initial state A { on endTask(t) { f := data(missing); } -> A; } }|},
+        Helpers.event ~kind:Interp.End ~task:"t" () );
+      ( {|machine div { var x : int = 1;
+           initial state A { on startTask(t) { x := x / (x - 1); } -> A; } }|},
+        Helpers.event ~task:"t" () );
+      ( {|machine md { var x : int = 1;
+           initial state A { on startTask(t) { x := x % (x - 1); } -> A; } }|},
+        Helpers.event ~task:"t" () );
+    ]
+
+let test_mentions_task_on_any () =
+  (* regression: machines whose only triggers are anyEvent watch every
+     task (previously reported false, so path restarts never
+     re-initialized them) *)
+  let m =
+    parse "machine anyonly { initial state A { on anyEvent -> A; } }"
+  in
+  Alcotest.(check bool) "Interp.mentions_task" true (Interp.mentions_task m "whatever");
+  let t = Table.compile m in
+  Alcotest.(check bool) "Table.mentions_task" true (Table.mentions_task t "whatever");
+  Alcotest.(check bool) "watches_any_event" true (Table.watches_any_event t);
+  (* and a machine without anyEvent still discriminates *)
+  let m2 = parse "machine plain { initial state A { on startTask(t) -> A; } }" in
+  Alcotest.(check bool) "named task" true (Interp.mentions_task m2 "t");
+  Alcotest.(check bool) "other task" false (Interp.mentions_task m2 "u");
+  let t2 = Table.compile m2 in
+  Alcotest.(check bool) "Table: named task" true (Table.mentions_task t2 "t");
+  Alcotest.(check bool) "Table: other task" false (Table.mentions_task t2 "u")
+
+let test_ill_typed_rejected () =
+  let bad = parse "machine bad { initial state A { on startTask(t) when (zz > 1); } }" in
+  match Table.compile bad with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "ill-typed machine accepted"
+
+let compile_suite =
+  [
+    Alcotest.test_case "memory store initials" `Quick test_instance_initials;
+    Alcotest.test_case "compiled = interpreted (handcrafted)" `Quick
+      test_step_matches_interpreter;
+    Alcotest.test_case "declaration order preserved by index" `Quick
+      test_declaration_order_dispatch;
+    Alcotest.test_case "unknown task falls back to anyEvent" `Quick
+      test_unknown_task_falls_back_to_any;
+    Alcotest.test_case "dynamic errors identical" `Quick test_dynamic_errors_match;
+    Alcotest.test_case "mentions_task: anyEvent watches all (regression)" `Quick
+      test_mentions_task_on_any;
+    Alcotest.test_case "ill-typed machines rejected" `Quick test_ill_typed_rejected;
   ]
