@@ -37,13 +37,11 @@ let run scenario_name engine list depth random max_depth seed replay json skip_v
   @@ fun jobs ->
   if list then list_sites ()
   else
-    match Scenario.find scenario_name with
-    | None ->
-        Printf.eprintf "unknown scenario %S (%s)\n" scenario_name
-          (String.concat "|"
-             (List.map (fun s -> s.Scenario.name) Scenario.all));
+    match Scenario.lookup scenario_name with
+    | Error msg ->
+        Printf.eprintf "%s\n" msg;
         2
-    | Some scenario -> (
+    | Ok scenario -> (
         let scenario =
           match engine with
           | None -> scenario
@@ -138,8 +136,9 @@ let replay_arg =
     value
     & opt (some string) None
     & info [ "replay" ] ~docv:"LINE"
-        ~doc:"Replay one schedule, e.g. $(b,42:3@0,7@2); runs it twice and \
-              checks the traces are byte-identical.")
+        ~doc:"Replay one schedule, e.g. $(b,42:3@0,7@2); runs it, then \
+              replays it once and checks the replay reproduces the run \
+              field for field, as the campaign replay check does.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the full campaign report as JSON.")

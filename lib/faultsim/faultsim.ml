@@ -83,11 +83,6 @@ type run_result = {
   violations : violation list;
 }
 
-let outcome_string (s : Stats.t) =
-  match s.Stats.outcome with
-  | Stats.Completed -> "completed"
-  | Stats.Did_not_finish reason -> "dnf:" ^ reason
-
 let fingerprint nvm =
   [ ("runtime", Nvm.Runtime); ("monitor", Nvm.Monitor);
     ("application", Nvm.Application); ("staging", Nvm.Staging) ]
@@ -378,7 +373,7 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
       ~args:
         [ ("seed", Obs.I seed);
           ("schedule", Obs.S (schedule_to_string schedule));
-          ("outcome", Obs.S (outcome_string result.Runtime.stats)) ]
+          ("outcome", Obs.S (Stats.outcome_string result.Runtime.stats)) ]
       ~begin_us:span_begin ~end_us scenario.Scenario.name;
     List.iter
       (fun v ->
@@ -395,7 +390,7 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
     schedule;
     fired = List.rev !fired;
     hits;
-    outcome = outcome_string result.Runtime.stats;
+    outcome = Stats.outcome_string result.Runtime.stats;
     power_failures = result.Runtime.stats.Stats.power_failures;
     digest = Export.log_digest (Device.log b.Scenario.device);
     footprint = fingerprint nvm;
@@ -642,9 +637,8 @@ let replay scenario ~line =
   | Error _ as err -> err
   | Ok (seed, schedule) ->
       let baseline = run_schedule scenario ~seed [] in
-      let first = check_footprint baseline (run_schedule scenario ~seed schedule) in
-      let second = run_schedule scenario ~seed schedule in
-      Ok (first, first.digest = second.digest)
+      let r = check_footprint baseline (run_schedule scenario ~seed schedule) in
+      Ok (r, reproduces scenario baseline r)
 
 (* --- reports --- *)
 

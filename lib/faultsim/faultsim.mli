@@ -159,10 +159,11 @@ val passed : campaign -> bool
 
 val replay : Scenario.t -> line:string -> (run_result * bool, string) result
 (** Re-run a reproducer line from scratch: the uninjected baseline (for
-    the footprint oracle), then the schedule twice; the boolean is
-    whether the two trace digests are byte-identical.  This is the
-    standalone check behind [faultsim --replay]; campaigns check each
-    run against its own record instead ([check_replays]). *)
+    the footprint oracle), the schedule, then one replay of it in a
+    fresh quiet [Obs] context; the boolean is whether the replay -
+    footprint oracle applied - equals the run field for field, the same
+    check campaigns make with [check_replays].  This is the standalone
+    check behind [faultsim --replay]. *)
 
 (** {2 Reports} *)
 

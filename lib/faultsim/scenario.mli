@@ -117,3 +117,7 @@ val quickstart_alpaca : t
 
 val all : t list
 val find : string -> t option
+
+val lookup : string -> (t, string) result
+(** {!find}, with the error every tool reports for an unknown name:
+    [unknown scenario "NAME" (a|b|...)], listing {!all}. *)

@@ -167,13 +167,7 @@ let validate_spec spec =
     List.fold_left
       (fun acc name ->
         let* () = acc in
-        match Scenario.find name with
-        | Some _ -> Ok ()
-        | None ->
-            Error
-              (Printf.sprintf "unknown scenario %S (%s)" name
-                 (String.concat "|"
-                    (List.map (fun s -> s.Scenario.name) Scenario.all))))
+        Result.map ignore (Scenario.lookup name))
       (Ok ()) spec.scenarios
   in
   let* () =
@@ -386,10 +380,7 @@ let run_device ~index coord =
     profile = profile_label coord.c_profile;
     engine = coord.c_engine;
     backend = backend_name;
-    outcome =
-      (match stats.Stats.outcome with
-      | Stats.Completed -> "completed"
-      | Stats.Did_not_finish reason -> "dnf:" ^ reason);
+    outcome = Stats.outcome_string stats;
     power_failures = stats.Stats.power_failures;
     reboots = stats.Stats.reboots;
     energy_uj = Energy.to_uj stats.Stats.energy_total;
@@ -534,7 +525,7 @@ let rollup spec devices =
 (* ------------------------------------------------------------------ *)
 (* The fleet runner *)
 
-let run ?(jobs = 1) ?chunk ?on_progress spec =
+let run ?(jobs = 1) ?on_progress spec =
   let n = spec_size spec in
   if n = 0 then invalid_arg "Fleet.run: empty device matrix";
   if jobs < 1 then invalid_arg "Fleet.run: jobs must be >= 1";
@@ -554,7 +545,7 @@ let run ?(jobs = 1) ?chunk ?on_progress spec =
             f ~completed:!completed ~total:n)
   in
   let results =
-    Par.map ~jobs ?chunk n (fun i ->
+    Par.map ~jobs n (fun i ->
         let c = coord i in
         let out =
           if observed then (

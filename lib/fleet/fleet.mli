@@ -15,8 +15,7 @@
     are merged in device-index order, and when the caller's
     {!Artemis.Obs} context is recording each device runs in its own
     context absorbed back in index order - so the report and any
-    exported trace are byte-identical for every [jobs] and [chunk]
-    value. *)
+    exported trace are byte-identical for every [jobs] value. *)
 
 open Artemis
 
@@ -134,13 +133,12 @@ val percentile : float array -> float -> float
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   ?on_progress:(completed:int -> total:int -> unit) ->
   spec ->
   report
 (** Expand the matrix and run every device.  [jobs] (default 1) shards
-    devices over domains; [chunk] overrides the auto chunk size (the
-    report is byte-identical either way).  [on_progress] is invoked
+    devices over domains in automatically sized chunks (the report is
+    byte-identical for every [jobs]).  [on_progress] is invoked
     under a lock after each device completes, from whichever domain
     finished it - completion order is nondeterministic, so drive
     progress/ETA output from it but never report content.

@@ -29,6 +29,11 @@ type t = {
 }
 
 val completed : t -> bool
+
+val outcome_string : t -> string
+(** ["completed"] or ["dnf:<reason>"]: the outcome as every report
+    (stats export, campaign, matrix, fleet) spells it. *)
+
 val active_time : t -> Time.t
 (** [total_time - off_time]. *)
 

@@ -1,4 +1,4 @@
-(* The fleet runner (PR 8): spec parsing, the jobs/chunk byte-identity
+(* The fleet runner: spec parsing, the jobs byte-identity
    contract on whole reports, and the roll-up arithmetic (worst-device
    ranking, percentiles) on hand-built fixtures. *)
 
@@ -85,7 +85,7 @@ let test_profile_round_trip () =
     [ "default"; "fixed:30s"; "fixed:500ms"; "fixed:2min"; "duty:200uw";
       "constant:65uw" ]
 
-(* --- report determinism: jobs and chunk must never change a byte --- *)
+(* --- report determinism: jobs must never change a byte --- *)
 
 let report_bytes ?(devices = true) report =
   let path = Filename.temp_file "fleet" ".json" in
@@ -120,9 +120,8 @@ let fleet_jobs_invariant =
       in
       let baseline = report_bytes (Fleet.run ~jobs:1 spec) in
       List.for_all
-        (fun (jobs, chunk) ->
-          String.equal baseline (report_bytes (Fleet.run ~jobs ?chunk spec)))
-        [ (2, None); (8, None); (2, Some 1); (8, Some 3) ])
+        (fun jobs -> String.equal baseline (report_bytes (Fleet.run ~jobs spec)))
+        [ 2; 8 ])
 
 let test_run_validates () =
   let spec = parse_ok {|{"scenarios": ["quickstart"], "seeds": {"count": 1}}|} in
