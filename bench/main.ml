@@ -158,13 +158,13 @@ let freshness_kernels () =
   let fresh () = ignore (F.exhaustive S.quickstart_fresh ~seed:42 ~depth:1) in
   (plain, fresh)
 
-(* The quantity gated in CI is the ratio of two ~10 ms campaigns, so
-   even fast mode keeps the full sampling budget (~2 s total): at
-   rounds=5/iters=3 the paired median still swung about +-4 pp,
-   straddling the 5% gate. *)
+(* The quantity gated in CI is the ratio of two ~10 ms campaigns.  It
+   takes the obs gate's recipe: 61 alternating rounds whatever [--fast]
+   says.  At 15 rounds x 30 iterations unchanged code read over the 5%
+   bound in 2-3 runs of 10; at 5 x 3 the median swung about +-4 pp. *)
 let measure_freshness_paired () =
   let plain, fresh = freshness_kernels () in
-  let rounds = 15 and iters = 30 in
+  let rounds = 61 and iters = 30 in
   match paired_medians ~rounds ~iters [| plain; fresh |] with
   | [| p; f |] -> (p, f)
   | _ -> assert false

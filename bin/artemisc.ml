@@ -95,14 +95,17 @@ let check_scenarios names allow_hazard =
 let energy_report names as_json =
   let module Scenario = Artemis_faultsim.Scenario in
   let module Ea = Artemis.Energy_analysis in
-  let payload_machines (u : Artemis.Adapt.update) =
-    match u.Artemis.Adapt.payload with
-    | None -> Ok []
-    | Some (Artemis.Adapt.Machine_source src) -> Artemis.Fsm.Parser.parse src
-    | Some (Artemis.Adapt.Spec_source src) -> (
-        match Artemis.Spec.Parser.parse src with
-        | Error e -> Error e
-        | Ok spec -> Ok (Artemis.To_fsm.spec spec))
+  let payload_tables (u : Artemis.Adapt.update) =
+    let machines =
+      match u.Artemis.Adapt.payload with
+      | None -> Ok []
+      | Some (Artemis.Adapt.Machine_source src) -> Artemis.Fsm.Parser.parse src
+      | Some (Artemis.Adapt.Spec_source src) -> (
+          match Artemis.Spec.Parser.parse src with
+          | Error e -> Error e
+          | Ok spec -> Ok (Artemis.To_fsm.spec spec))
+    in
+    Result.map (List.map Artemis.Fsm.Table.compile) machines
   in
   let rec go worst = function
     | [] -> worst
@@ -118,20 +121,21 @@ let energy_report names as_json =
             let budget = Ea.budget_of_device b.Scenario.device in
             let deployed =
               Ea.analyze ~deployment ~model ~budget ~origin:"deployed"
-                b.Scenario.machines
+                (List.map Artemis.Monitor.table
+                   (Artemis.Suite.monitors b.Scenario.suite))
             in
             let updates =
               List.concat_map
                 (fun (_at, u) ->
-                  match payload_machines u with
+                  match payload_tables u with
                   | Error e ->
                       Printf.eprintf "scenario %s: bad update payload: %s\n"
                         name e;
                       []
-                  | Ok machines ->
+                  | Ok tables ->
                       Ea.analyze ~deployment ~model ~budget
                         ~origin:(Printf.sprintf "update #%d" u.Artemis.Adapt.id)
-                        machines)
+                        tables)
                 b.Scenario.adaptations
             in
             let entries = deployed @ updates in
@@ -146,10 +150,10 @@ let energy_report names as_json =
                  scheduled update: exactly what Adapt.validate will say *)
               List.iter
                 (fun (_at, u) ->
-                  match payload_machines u with
+                  match payload_tables u with
                   | Error _ -> ()
-                  | Ok machines -> (
-                      match Ea.admit ~deployment ~model ~budget machines with
+                  | Ok tables -> (
+                      match Ea.admit ~deployment ~model ~budget tables with
                       | Ok () ->
                           Buffer.add_string buf
                             (Printf.sprintf

@@ -137,8 +137,8 @@ let replay_arg =
     & opt (some string) None
     & info [ "replay" ] ~docv:"LINE"
         ~doc:"Replay one schedule, e.g. $(b,42:3@0,7@2); runs it, then \
-              replays it once and checks the replay reproduces the run \
-              field for field, as the campaign replay check does.")
+              replays it once and checks the replay reproduces the run's \
+              event log and result, as the campaign replay check does.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the full campaign report as JSON.")
@@ -149,9 +149,10 @@ let skip_verify_arg =
     & info [ "skip-replay-check" ]
         ~doc:"Skip the per-run replay determinism check.  Without this \
               flag every campaign run is replayed once, inside the \
-              $(b,--jobs) fan-out, and must reproduce its recorded result \
-              field for field (trace digest, fired schedule, site hits, \
-              outcome, power failures, footprint, violations); any run \
+              $(b,--jobs) fan-out, and must reproduce its recorded result: \
+              the same event log to the microsecond, and the same fired \
+              schedule, site hits, outcome, power failures, footprint and \
+              violations; any run \
               that does not is printed as NOT REPRODUCIBLE and the exit \
               status is 1.  The report and trace are the same either way.")
 

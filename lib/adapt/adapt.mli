@@ -94,7 +94,7 @@ type outcome =
 
 val create :
   ?engine:Monitor.engine ->
-  ?admission:(Artemis_fsm.Ast.machine list -> (unit, string) result) ->
+  ?admission:(Artemis_fsm.Table.t list -> (unit, string) result) ->
   Nvm.t ->
   app:Task.app ->
   Suite.t ->
@@ -102,10 +102,11 @@ val create :
 (** [create nvm ~app suite] installs [suite] as generation 0 and
     allocates the staging cells.  [engine] (default [Table]) is used
     for monitors built by future updates.  [admission] (default: accept
-    everything) runs at the end of {!validate} over the update's parsed
-    machines; the runtime installs the PR 9 energy-admissibility check
-    here, so an over-budget update is rejected with its
-    ["energy-inadmissible: ..."] reason on the normal rejection path. *)
+    everything) runs at the end of {!validate} over the tables
+    validation lowered from the update's machines; the runtime installs
+    the energy-admissibility check here, so an over-budget update
+    is rejected with its ["energy-inadmissible: ..."] reason on the
+    normal rejection path. *)
 
 val generation : t -> int
 val active : t -> Suite.t

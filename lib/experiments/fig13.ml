@@ -66,10 +66,7 @@ let run ?(delay_min = 6) () =
     Log.count log (function Event.Path_skipped { path = 2; _ } -> true | _ -> false)
     > 0
   in
-  let timeline =
-    String.concat "\n"
-      (List.map (Format.asprintf "%a" Event.pp_timed) shown)
-  in
+  let timeline = Log.render_events shown in
   { stats; mitd_violations; path2_restarts; path2_skipped; timeline }
 
 let render r =

@@ -81,8 +81,10 @@ type run_result = {
   hits : int array;  (** probe hits per site over the whole run *)
   outcome : string;
   power_failures : int;
-  digest : string;  (** hex MD5 of the rendered trace *)
-  footprint : string;  (** rendered FRAM/RAM cell fingerprint *)
+  digest : string;  (** hex MD5 of the rendered trace ({!Export.log_digest}) *)
+  footprint : string;
+      (** rendered FRAM/RAM cell fingerprint; once the footprint oracle
+          has passed, the baseline's own string *)
   violations : violation list;
 }
 
@@ -129,9 +131,11 @@ val exhaustive :
 
     [check_replays] (default [false]) is the determinism check: each
     run is replayed once from its reproducer line on the same worker,
-    right after it ran, and the replay - footprint oracle applied - must
-    equal the recorded run field for field (digest, fired, hits,
-    outcome, power failures, footprint, violations).  Runs that differ
+    right after it ran.  The replay's event log must equal the run's
+    recorded log ({!Log.equal}, exact to the microsecond - stronger
+    than the digest, which rounds timestamps), and the replay - footprint
+    oracle applied - must equal the recorded run in every other field
+    (fired, hits, outcome, power failures, footprint, violations).  Runs that differ
     are listed in [not_reproducible].  A replay runs in a fresh quiet
     [Obs] context: it adds no trace span and moves no counter, so the
     trace and metrics are the same with or without the check. *)
@@ -160,9 +164,10 @@ val passed : campaign -> bool
 val replay : Scenario.t -> line:string -> (run_result * bool, string) result
 (** Re-run a reproducer line from scratch: the uninjected baseline (for
     the footprint oracle), the schedule, then one replay of it in a
-    fresh quiet [Obs] context; the boolean is whether the replay -
-    footprint oracle applied - equals the run field for field, the same
-    check campaigns make with [check_replays].  This is the standalone
+    fresh quiet [Obs] context; the boolean is whether the replay
+    reproduces the run - equal event logs, and every other field equal
+    with the footprint oracle applied - the same check campaigns make
+    with [check_replays].  This is the standalone
     check behind [faultsim --replay]. *)
 
 (** {2 Reports} *)

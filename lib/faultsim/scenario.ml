@@ -4,7 +4,6 @@ type built = {
   device : Device.t;
   app : Task.app;
   suite : Suite.t;
-  machines : Fsm.Ast.machine list;
   config : Runtime.config;
   adaptations : (int * Adapt.update) list;
   freshness : Consistency.Freshness.t option;
@@ -37,13 +36,11 @@ let lowering spec =
 let deploy ?engine device app lower ~seed =
   let tables = lower ~app in
   let suite = Suite.create ?engine (Device.nvm device) tables in
-  let machines = List.map Fsm.Table.machine tables in
   let config = { Runtime.default_config with seed } in
   {
     device;
     app;
     suite;
-    machines;
     config;
     adaptations = [];
     freshness = None;

@@ -17,9 +17,6 @@ type built = {
   device : Device.t;
   app : Task.app;
   suite : Suite.t;
-  machines : Fsm.Ast.machine list;
-      (** the deployed property machines, in deployment order - the
-          golden oracle re-executes them on a pristine store *)
   config : Runtime.config;
   adaptations : (int * Adapt.update) list;
       (** live property updates delivered mid-run (PR 4); empty for the

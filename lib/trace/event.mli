@@ -42,6 +42,14 @@ type t =
 
 type timed = { at : Time.t; event : t }
 
+val add : Buffer.t -> t -> unit
+(** The one event renderer: ["start send (attempt 2)"] and so on.
+    {!pp} and {!to_string} derive from it. *)
+
+val add_timed : Buffer.t -> timed -> unit
+(** ["[<time>] <event>"], the time rendered by
+    {!Artemis_util.Time.add_to_buffer}.  {!pp_timed} derives from it. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_timed : Format.formatter -> timed -> unit
 val to_string : t -> string

@@ -6,8 +6,11 @@ val log_to_csv : Log.t -> string
     included, RFC-4180 quoting for the detail field. *)
 
 val log_digest : Log.t -> string
-(** Hex MD5 of the rendered timeline: two runs are byte-identical iff
-    their digests are equal (the fault-injection replay check). *)
+(** Hex MD5 of {!Log.render_timeline}: equal logs give equal digests,
+    but not conversely - the rendering rounds timestamps to hundredths
+    of the displayed unit, so logs a few microseconds apart can share a
+    digest.  Compare logs with {!Log.equal} when that matters (the
+    fault-injection replay check does). *)
 
 val stats_to_json : Stats.t -> string
 (** A flat JSON object (hand-rendered; keys are stable and documented by

@@ -22,17 +22,29 @@ let task_attempts t ~task =
     | Event.Task_started { task = tk; _ } -> String.equal tk task
     | _ -> false)
 
+(* Events hold only ints, strings and options, so structural equality
+   is exact. *)
+let equal a b = a.n = b.n && a.rev_events = b.rev_events
+
+let add_lines buf events =
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Event.add_timed buf e)
+    events
+
+let render_events events =
+  let buf = Buffer.create 1024 in
+  add_lines buf events;
+  Buffer.contents buf
+
 let render_timeline ?limit t =
-  let all = events t in
-  let shown, elided =
-    match limit with
-    | Some n when List.length all > n ->
-        (List.filteri (fun i _ -> i < n) all, List.length all - n)
-    | _ -> (all, 0)
-  in
-  let lines = List.map (Format.asprintf "%a" Event.pp_timed) shown in
-  let lines =
-    if elided > 0 then lines @ [ Printf.sprintf "... (%d more events)" elided ]
-    else lines
-  in
-  String.concat "\n" lines
+  match limit with
+  | Some n when t.n > n ->
+      let buf = Buffer.create 1024 in
+      let shown = List.filteri (fun i _ -> i < n) (events t) in
+      add_lines buf shown;
+      if shown <> [] then Buffer.add_char buf '\n';
+      Printf.bprintf buf "... (%d more events)" (t.n - n);
+      Buffer.contents buf
+  | _ -> render_events (events t)

@@ -8,8 +8,7 @@ type t =
 
 (* --- rendering --- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -19,10 +18,19 @@ let escape s =
       | c when Char.code c < 0x20 ->
           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+let escape s =
+  let buf = Buffer.create (String.length s) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let quote s = "\"" ^ escape s ^ "\""
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
+  Buffer.add_char buf '"'
 
 let float_lit f =
   if Float.is_finite f then Printf.sprintf "%.3f" f else "null"

@@ -28,6 +28,9 @@ val escape : string -> string
 val quote : string -> string
 (** [escape] wrapped in double quotes. *)
 
+val add_quoted : Buffer.t -> string -> unit
+(** [Buffer.add_string buf (quote s)] without the intermediate strings. *)
+
 val float_lit : float -> string
 (** JSON-safe float literal with three decimals ([%.3f]).  JSON has no
     [nan] or [inf] tokens, so non-finite values render as [null] instead

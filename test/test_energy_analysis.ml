@@ -121,17 +121,21 @@ let test_percentile_rejects_non_finite () =
 
 let build_livelock () = Scenario.livelock_prop.Scenario.build ~engine:None ~seed:42
 
-let payload_machines (u : Adapt.update) =
-  match u.Adapt.payload with
-  | None -> []
-  | Some (Adapt.Machine_source src) -> (
-      match Fsm.Parser.parse src with
-      | Ok ms -> ms
-      | Error e -> Alcotest.failf "payload parse: %s" e)
-  | Some (Adapt.Spec_source src) -> (
-      match Spec.Parser.parse src with
-      | Ok spec -> To_fsm.spec spec
-      | Error e -> Alcotest.failf "payload parse: %s" e)
+let payload_tables (u : Adapt.update) =
+  List.map Fsm.Table.compile
+    (match u.Adapt.payload with
+    | None -> []
+    | Some (Adapt.Machine_source src) -> (
+        match Fsm.Parser.parse src with
+        | Ok ms -> ms
+        | Error e -> Alcotest.failf "payload parse: %s" e)
+    | Some (Adapt.Spec_source src) -> (
+        match Spec.Parser.parse src with
+        | Ok spec -> To_fsm.spec spec
+        | Error e -> Alcotest.failf "payload parse: %s" e))
+
+let deployed_tables (b : Scenario.built) =
+  List.map Monitor.table (Suite.monitors b.Scenario.suite)
 
 let test_livelock_prop_classification () =
   let b = build_livelock () in
@@ -146,10 +150,10 @@ let test_livelock_prop_classification () =
         true
         (e.Ea.e_class = Ea.Progresses))
     (Ea.analyze ~deployment ~model ~budget ~origin:"deployed"
-       b.Scenario.machines);
+       (deployed_tables b));
   (* the scheduled OTA payload's 20-store body cannot *)
   let heavy =
-    List.concat_map (fun (_at, u) -> payload_machines u) b.Scenario.adaptations
+    List.concat_map (fun (_at, u) -> payload_tables u) b.Scenario.adaptations
   in
   Alcotest.(check bool) "payload present" true (heavy <> []);
   List.iter
@@ -214,12 +218,12 @@ let engine_name engine =
 let static_bound (b : Scenario.built) =
   let model = b.Scenario.config.Runtime.cost_model in
   let deployment = b.Scenario.config.Runtime.deployment in
-  let machines =
-    b.Scenario.machines
-    @ List.concat_map (fun (_at, u) -> payload_machines u) b.Scenario.adaptations
+  let tables =
+    deployed_tables b
+    @ List.concat_map (fun (_at, u) -> payload_tables u) b.Scenario.adaptations
   in
   Ea.suite_call_bound ~deployment ~model
-    (List.map (Ea.property_bound ~deployment ~model) machines)
+    (List.map (Ea.property_bound ~deployment ~model) tables)
 
 (* The device's energy ledger is float-accumulated: an attempt's
    Monitor_work delta is read off a running multi-mJ total, so it
@@ -342,10 +346,11 @@ let fuzzed_bound_domination =
         { Runtime.default_config with max_loop_iterations = 1500; deployment }
       in
       let device = Helpers.tiny_device ~usable_mj:3. () in
-      let suite = Suite.create ~engine (Device.nvm device) [ Fsm.Table.compile m ] in
+      let table = Fsm.Table.compile m in
+      let suite = Suite.create ~engine (Device.nvm device) [ table ] in
       let bound =
         Ea.suite_call_bound ~deployment ~model:config.Runtime.cost_model
-          [ Ea.property_bound ~deployment ~model:config.Runtime.cost_model m ]
+          [ Ea.property_bound ~deployment ~model:config.Runtime.cost_model table ]
       in
       let hits = ref 0 in
       let probe _ =

@@ -140,6 +140,50 @@ let test_replay_compares_with_the_run () =
       | Error msg -> Alcotest.fail msg)
     (List.filteri (fun i _ -> i < 3) honest.F.runs)
 
+(* A scenario whose odd-numbered builds recharge for 30 s + 1 us after
+   every power failure instead of 30 s.  Every timestamp after the first
+   reboot moves by a microsecond or more, which the rendered timeline -
+   hundredths of a second at this scale - rounds away: a run and its
+   replay share a digest but not an event log. *)
+let odd_builds_jitter (sc : Scenario.t) =
+  let builds = Atomic.make 0 in
+  let build ~engine ~seed =
+    let b = sc.Scenario.build ~engine ~seed in
+    if Atomic.fetch_and_add builds 1 mod 2 = 1 then
+      Device.set_policy b.Scenario.device
+        (Charging_policy.Fixed_delay (Time.add (Time.of_sec 30) (Time.of_us 1)));
+    b
+  in
+  { sc with Scenario.build }
+
+let jitter_lines = [ "42:-"; "42:0@0"; "42:4@1" ]
+
+let test_replay_sees_what_the_digest_misses () =
+  let sc = odd_builds_jitter Scenario.quickstart in
+  List.iter
+    (fun line ->
+      let seed, schedule = Result.get_ok (F.parse_replay line) in
+      (* consecutive builds: one even, one odd *)
+      let a = F.run_schedule sc ~seed schedule in
+      let b = F.run_schedule sc ~seed schedule in
+      Alcotest.(check bool) ("power fails, so the jitter shows " ^ line) true
+        (a.F.power_failures > 0);
+      Alcotest.(check string) ("same trace digest " ^ line) a.F.digest b.F.digest;
+      match F.replay sc ~line with
+      | Ok (_, reproducible) ->
+          Alcotest.(check bool) ("not reproducible " ^ line) false reproducible
+      | Error msg -> Alcotest.fail msg)
+    jitter_lines;
+  (* in a campaign every run is an odd build and its replay the even one
+     after it *)
+  let c = F.exhaustive ~jobs:1 ~check_replays:true sc ~seed:42 ~depth:1 in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("campaign flags " ^ line) true
+        (List.mem line c.F.not_reproducible))
+    (List.tl jitter_lines);
+  Alcotest.(check bool) "the campaign fails" false (F.passed c)
+
 (* --- the task-atomicity snapshot cache against its reference --- *)
 
 let regions = [ Nvm.Runtime; Nvm.Monitor; Nvm.Application; Nvm.Staging ]
@@ -235,6 +279,8 @@ let suite =
       test_replay_check_has_teeth);
     ("standalone replay is checked against the run, not its digest",
       `Quick, test_replay_compares_with_the_run);
+    ("replay compares event logs: a 1 us recharge jitter is caught",
+      `Quick, test_replay_sees_what_the_digest_misses);
     ("cached region snapshots equal the uncached reference", `Quick,
       test_cached_digests_match_reference);
     ("cached snapshots match the reference under every Nvm.Chaos flag",
