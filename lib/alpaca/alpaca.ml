@@ -7,13 +7,14 @@ module Backend = Artemis_backend.Backend
 
 (* Numbered after the NVM and runtime sites by the fault-injection
    engine: the four crash windows of the two-phase commit. *)
-let injection_sites =
-  [
-    "alpaca.log.before";
-    "alpaca.log.after";
-    "alpaca.swap.before";
-    "alpaca.swap.after";
-  ]
+module Site = struct
+  let log_before = "alpaca.log.before"
+  let log_after = "alpaca.log.after"
+  let swap_before = "alpaca.swap.before"
+  let swap_after = "alpaca.swap.after"
+end
+
+let injection_sites = Site.[ log_before; log_after; swap_before; swap_after ]
 
 module Chaos = struct
   let torn_commit_log = ref false
@@ -83,7 +84,7 @@ let setup ?(config = default_config) ~probe device _app =
     match Nvm.read log with
     | None -> true
     | Some (task_name, names) -> (
-        probe "alpaca.swap.before";
+        probe Site.swap_before;
         match
           consume_cycles ~during:"alpaca.swap"
             (config.swap_base_cycles
@@ -107,7 +108,7 @@ let setup ?(config = default_config) ~probe device _app =
                only the event. *)
             if recovery then
               Device.record device (Event.Task_completed { task = task_name });
-            probe "alpaca.swap.after";
+            probe Site.swap_after;
             true)
   in
   {
@@ -140,11 +141,11 @@ let setup ?(config = default_config) ~probe device _app =
                    log never sealed, so the captured set is void *)
                 Backend.Interrupted
             | Device.Completed ->
-                probe "alpaca.log.before";
+                probe Site.log_before;
                 redo := entries;
                 Nvm.write log
                   (Some (task.Task.name, List.map (fun (n, _, _) -> n) entries));
-                probe "alpaca.log.after";
+                probe Site.log_after;
                 (* the scratch buffers are spent: the sealed log is now
                    the authoritative carrier of the write set *)
                 Nvm.drop_tx nvm;

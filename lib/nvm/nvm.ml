@@ -13,17 +13,30 @@ let m_tx_commits = Obs.counter "nvm_tx_commits"
 let m_tx_aborts = Obs.counter "nvm_tx_aborts"
 let m_power_failures = Obs.counter "nvm_power_failures"
 
+(* One constant per injection site: the probes fire the very string
+   listed in [injection_sites], which lets the fault-injection engine
+   recognise a label by physical equality instead of hashing it. *)
+module Site = struct
+  let write_before = "nvm.write.before"
+  let write_after = "nvm.write.after"
+  let tx_write_before = "nvm.tx_write.before"
+  let tx_write_after = "nvm.tx_write.after"
+  let commit_tx_before = "nvm.commit_tx.before"
+  let commit_tx_after = "nvm.commit_tx.after"
+end
+
 (* Stable numbering contract for the fault-injection engine: sites are
    listed in this order, before the runtime's own sites. *)
 let injection_sites =
-  [
-    "nvm.write.before";
-    "nvm.write.after";
-    "nvm.tx_write.before";
-    "nvm.tx_write.after";
-    "nvm.commit_tx.before";
-    "nvm.commit_tx.after";
-  ]
+  Site.
+    [
+      write_before;
+      write_after;
+      tx_write_before;
+      tx_write_after;
+      commit_tx_before;
+      commit_tx_after;
+    ]
 
 (* Test-only chaos hooks (see test/test_oracle_sensitivity.ml): each
    re-introduces a known-bad behaviour the PR2 campaigns hardened away,
@@ -212,9 +225,9 @@ let write c v =
   | (Fram | Ram), _ -> ());
   record_access c Write_op;
   Obs.Ctx.incr c.store.obs m_writes;
-  fire c.store "nvm.write.before";
+  fire c.store Site.write_before;
   set_committed c v;
-  fire c.store "nvm.write.after"
+  fire c.store Site.write_after
 
 let begin_tx t =
   if t.tx_open then invalid_arg "Nvm.begin_tx: transaction already open";
@@ -236,7 +249,7 @@ let tx_write c v =
     invalid_arg (Printf.sprintf "Nvm.tx_write: cell %S is volatile" c.name);
   record_access c Tx_write_op;
   Obs.Ctx.incr c.store.obs m_tx_writes;
-  fire c.store "nvm.tx_write.before";
+  fire c.store Site.tx_write_before;
   (if !Chaos.tx_write_through then set_committed c v
    else begin
      (match c.pending with
@@ -256,7 +269,7 @@ let tx_write c v =
      | Some _ -> ());
      c.pending <- Some v
    end);
-  fire c.store "nvm.tx_write.after"
+  fire c.store Site.tx_write_after
 
 (* Join the ambient transaction if one is open, else write through.  Used
    by code that must be durable in isolation but atomic when an enclosing
@@ -269,13 +282,13 @@ let write_join c v =
 
 let commit_tx t =
   if not t.tx_open then invalid_arg "Nvm.commit_tx: no open transaction";
-  fire t "nvm.commit_tx.before";
+  fire t Site.commit_tx_before;
   List.iter (fun d -> d.commit ()) (List.rev t.tx_dirty);
   t.tx_dirty <- [];
   t.tx_open <- false;
   Obs.Ctx.incr t.obs m_tx_commits;
   close_tx_span t "tx";
-  fire t "nvm.commit_tx.after"
+  fire t Site.commit_tx_after
 
 (* --- checkpoint-free (Alpaca-style) commit support (PR 10) ---
 
