@@ -22,15 +22,29 @@ type violation = {
    the stamp and its commit point kills it (see seal/valid below). *)
 type stamp = { s_at : int; s_provisional : bool; s_reverts : int }
 
+(* A scenario declares a handful of sources, and the tracker runs on
+   every task event of every campaign run, so its tables are short
+   association lists keyed by [String.equal] rather than hash tables:
+   no string is hashed on the hot path. *)
+let rec find key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find key rest
+
+let rec remove key = function
+  | [] -> []
+  | ((k, _) as b) :: rest -> if String.equal k key then rest else b :: remove key rest
+
+let replace key v l = (key, v) :: remove key l
+
 type t = {
   clock : unit -> int;
   in_tx : unit -> bool;
   revert_count : unit -> int;
   budget_us : int;
   reads : (string * string list) list;
-  sources : (string, unit) Hashtbl.t;
-  stamps : (string, stamp) Hashtbl.t;
-  pending : (string, int) Hashtbl.t;
+  sources : string list;
+  mutable stamps : (string * stamp) list;
+  mutable pending : (string * int) list;
       (* producer start times: a crash can land between the producer's
          durable commit and its [Task_completed] record, losing the
          completion event while the data itself persisted.  Path order
@@ -47,10 +61,14 @@ let create ~clock ?(in_tx = fun () -> false) ?(revert_count = fun () -> 0)
     ~budget ~reads () =
   if Time.is_negative budget then
     invalid_arg "Freshness.create: negative budget";
-  let sources = Hashtbl.create 8 in
-  List.iter
-    (fun (_, srcs) -> List.iter (fun s -> Hashtbl.replace sources s ()) srcs)
-    reads;
+  let sources =
+    List.fold_left
+      (fun acc (_, srcs) ->
+        List.fold_left
+          (fun acc s -> if List.exists (String.equal s) acc then acc else s :: acc)
+          acc srcs)
+      [] reads
+  in
   {
     clock;
     in_tx;
@@ -58,63 +76,67 @@ let create ~clock ?(in_tx = fun () -> false) ?(revert_count = fun () -> 0)
     budget_us = Time.to_us budget;
     reads;
     sources;
-    stamps = Hashtbl.create 8;
-    pending = Hashtbl.create 8;
+    stamps = [];
+    pending = [];
     skew_us = 0;
     violations = [];
   }
 
 let now t = t.clock () + t.skew_us
 
+let is_source t source = List.exists (String.equal source) t.sources
+
 let stamp t ~source =
-  if (not !Chaos.skip_freshness_stamp) && Hashtbl.mem t.sources source then
-    Hashtbl.replace t.stamps source
-      {
-        s_at = now t;
-        s_provisional = t.in_tx ();
-        s_reverts = t.revert_count ();
-      }
+  if (not !Chaos.skip_freshness_stamp) && is_source t source then
+    t.stamps <-
+      replace source
+        {
+          s_at = now t;
+          s_provisional = t.in_tx ();
+          s_reverts = t.revert_count ();
+        }
+        t.stamps
 
 (* Producer [Task_started]: remember the start time so the stamp is not
    lost if a crash eats the completion event after the commit. *)
 let note_started t ~source =
-  if (not !Chaos.skip_freshness_stamp) && Hashtbl.mem t.sources source then
-    Hashtbl.replace t.pending source (now t)
+  if (not !Chaos.skip_freshness_stamp) && is_source t source then
+    t.pending <- replace source (now t) t.pending
 
 (* Promote a pending start-time entry to a durable stamp (see the
    [pending] field comment for why this is sound). *)
 let promote_pending t ~source =
-  match Hashtbl.find_opt t.pending source with
+  match find source t.pending with
   | None -> None
   | Some at ->
       let s = { s_at = at; s_provisional = false; s_reverts = 0 } in
-      Hashtbl.replace t.stamps source s;
-      Hashtbl.remove t.pending source;
+      t.stamps <- replace source s t.stamps;
+      t.pending <- remove source t.pending;
       Some s
 
 (* A provisional stamp survives to durability only if no revert happened
    since it was taken; both abort_tx and power_failure bump the revert
    count, so a reverted transaction cannot launder the timestamp. *)
 let seal t ~source =
-  match Hashtbl.find_opt t.stamps source with
+  match find source t.stamps with
   | Some s when s.s_provisional ->
       if t.revert_count () = s.s_reverts then
-        Hashtbl.replace t.stamps source { s with s_provisional = false }
-      else Hashtbl.remove t.stamps source
+        t.stamps <- replace source { s with s_provisional = false } t.stamps
+      else t.stamps <- remove source t.stamps
   | Some _ | None -> ()
 
 let valid t (s : stamp) =
   (not s.s_provisional) || t.revert_count () = s.s_reverts
 
 let check t ~consumer =
-  match List.assoc_opt consumer t.reads with
+  match find consumer t.reads with
   | None -> ()
   | Some srcs ->
       let at = now t in
       List.iter
         (fun source ->
           let stamped =
-            match Hashtbl.find_opt t.stamps source with
+            match find source t.stamps with
             | Some s when valid t s -> Some s
             | Some _ | None -> promote_pending t ~source
           in
@@ -141,7 +163,7 @@ let on_event t = function
       check t ~consumer:task;
       stamp t ~source:task;
       seal t ~source:task;
-      Hashtbl.remove t.pending task
+      t.pending <- remove task t.pending
   | Event.Reboot _ ->
       if !Chaos.clock_skip_on_recovery then
         t.skew_us <- t.skew_us + 3_600_000_000

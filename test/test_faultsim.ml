@@ -18,8 +18,14 @@ let test_site_numbering () =
     F.sites.(List.length Nvm.injection_sites
              + List.length Runtime.injection_sites);
   List.iteri
-    (fun i label -> Alcotest.(check int) ("id of " ^ label) i (F.site_id label))
-    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites)
+    (fun i label ->
+      Alcotest.(check int) ("id of " ^ label) i (F.site_id label);
+      (* a fresh copy is not the layer's constant: the table finds it *)
+      Alcotest.(check int) ("id of a copy of " ^ label) i
+        (F.site_id (Bytes.to_string (Bytes.of_string label))))
+    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites);
+  Alcotest.check_raises "unknown label" Not_found (fun () ->
+      ignore (F.site_id "nvm.write.during"))
 
 let test_schedule_roundtrip () =
   let cases = [ []; [ (0, 0) ]; [ (3, 2); (11, 0); (5, 7) ] ] in
