@@ -7,7 +7,9 @@ module F = Artemis_faultsim.Faultsim
 module Scenario = Artemis_faultsim.Scenario
 
 let list_sites () =
-  Array.iteri (Printf.printf "%2d %s\n") F.sites;
+  Array.iter
+    (fun (s : Artemis.Nvm.Site.t) -> Printf.printf "%2d %s\n" s.id s.label)
+    F.sites;
   0
 
 let print_violations campaign =

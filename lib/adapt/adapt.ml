@@ -14,19 +14,21 @@ let m_rejected = Obs.counter "adapt_rejected"
 
 (* Appended to [Runtime.injection_sites] (the engine numbers the NVM
    sites, then the runtime's, then these — appending keeps the historic
-   numbering 0-11 stable).  Each label marks one crash window of the
+   numbering 0-11 stable).  Each site marks one crash window of the
    update protocol; the depth-1 campaign drives a power failure through
    every one of them and the oracles check the update still applies
    exactly once. *)
 module Site = struct
-  let stage_before = "rt.adapt.stage.before"
-  let stage_after = "rt.adapt.stage.after"
-  let validate_after = "rt.adapt.validate.after"
-  let migrate_before = "rt.adapt.migrate.before"
-  let migrate_after = "rt.adapt.migrate.after"
-  let flip_before = "rt.adapt.flip.before"
-  let flip_after = "rt.adapt.flip.after"
-  let clear_after = "rt.adapt.clear.after"
+  open Nvm.Site
+
+  let stage_before = { id = 12; label = "rt.adapt.stage.before" }
+  let stage_after = { id = 13; label = "rt.adapt.stage.after" }
+  let validate_after = { id = 14; label = "rt.adapt.validate.after" }
+  let migrate_before = { id = 15; label = "rt.adapt.migrate.before" }
+  let migrate_after = { id = 16; label = "rt.adapt.migrate.after" }
+  let flip_before = { id = 17; label = "rt.adapt.flip.before" }
+  let flip_after = { id = 18; label = "rt.adapt.flip.after" }
+  let clear_after = { id = 19; label = "rt.adapt.clear.after" }
 end
 
 let injection_sites =

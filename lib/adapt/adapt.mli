@@ -40,9 +40,21 @@ module Monitor = Artemis_monitor.Monitor
 module Suite = Artemis_monitor.Suite
 module Task = Artemis_task.Task
 
-val injection_sites : string list
-(** Crash-window labels of the protocol, appended after the runtime's own
-    sites in the fault-injection numbering. *)
+module Site : sig
+  val stage_before : Nvm.Site.t
+  val stage_after : Nvm.Site.t
+  val validate_after : Nvm.Site.t
+  val migrate_before : Nvm.Site.t
+  val migrate_after : Nvm.Site.t
+  val flip_before : Nvm.Site.t
+  val flip_after : Nvm.Site.t
+  val clear_after : Nvm.Site.t
+end
+(** The protocol's crash windows, ids 12-19. *)
+
+val injection_sites : Nvm.Site.t list
+(** {!Site}'s constants in numbering order, appended after the
+    runtime's own sites in the fault-injection numbering. *)
 
 (** {1 Updates} *)
 
@@ -121,14 +133,14 @@ val pending_id : t -> int option
 (** The staged-but-uncommitted update, if any (crash recovery re-applies
     it before new deliveries are staged). *)
 
-val stage : ?probe:(string -> unit) -> t -> update -> int
+val stage : ?probe:(Nvm.Site.t -> unit) -> t -> update -> int
 (** Write the update's wire image into the staging buffer and arm the
     pending marker.  Returns the staged byte count.  Restaging over an
     unapplied pending update overwrites it (last-writer-wins, as for an
     OTA image). *)
 
 val apply :
-  ?probe:(string -> unit) -> ?commit_extra:(applied -> unit) -> t -> outcome
+  ?probe:(Nvm.Site.t -> unit) -> ?commit_extra:(applied -> unit) -> t -> outcome
 (** Run validate/build/migrate/flip on the pending update, if any.
     [commit_extra] runs inside the flip transaction (use
     {!Nvm.tx_write}) so caller bookkeeping commits atomically with the

@@ -8,10 +8,12 @@ module Backend = Artemis_backend.Backend
 (* Numbered after the NVM and runtime sites by the fault-injection
    engine: the four crash windows of the two-phase commit. *)
 module Site = struct
-  let log_before = "alpaca.log.before"
-  let log_after = "alpaca.log.after"
-  let swap_before = "alpaca.swap.before"
-  let swap_after = "alpaca.swap.after"
+  open Nvm.Site
+
+  let log_before = { id = 20; label = "alpaca.log.before" }
+  let log_after = { id = 21; label = "alpaca.log.after" }
+  let swap_before = { id = 22; label = "alpaca.swap.before" }
+  let swap_after = { id = 23; label = "alpaca.swap.after" }
 end
 
 let injection_sites = Site.[ log_before; log_after; swap_before; swap_after ]

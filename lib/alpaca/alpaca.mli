@@ -25,10 +25,17 @@
 open Artemis_util
 module Backend = Artemis_backend.Backend
 
-val injection_sites : string list
-(** The four two-phase-commit crash windows, in numbering order (the
-    fault-injection engine appends them after the NVM and runtime
-    sites). *)
+module Site : sig
+  val log_before : Artemis_nvm.Nvm.Site.t
+  val log_after : Artemis_nvm.Nvm.Site.t
+  val swap_before : Artemis_nvm.Nvm.Site.t
+  val swap_after : Artemis_nvm.Nvm.Site.t
+end
+(** The four two-phase-commit crash windows, ids 20-23. *)
+
+val injection_sites : Artemis_nvm.Nvm.Site.t list
+(** {!Site}'s constants in numbering order (the fault-injection engine
+    appends them after the NVM and runtime sites). *)
 
 type config = {
   log_base_cycles : int;  (** fixed cost of sealing the commit log *)
@@ -46,7 +53,7 @@ val default_config : config
 
 val setup :
   ?config:config ->
-  probe:(string -> unit) ->
+  probe:(Artemis_nvm.Nvm.Site.t -> unit) ->
   Artemis_device.Device.t ->
   Artemis_task.Task.app ->
   Backend.instance

@@ -18,7 +18,7 @@ module type S = sig
   val name : string
   val description : string
 
-  val injection_sites : string list
+  val injection_sites : Nvm.Site.t list
   (** Extra crash windows this backend's commit protocol exposes, in
       numbering order (appended after the NVM and runtime sites by the
       fault-injection engine).  Empty for backends whose commit is the
@@ -30,7 +30,7 @@ module type S = sig
       whole task bodies, so this is {!Task.bodies} - a backend with a
       different re-execution granularity would override it. *)
 
-  val setup : probe:(string -> unit) -> Device.t -> Task.app -> instance
+  val setup : probe:(Nvm.Site.t -> unit) -> Device.t -> Task.app -> instance
   (** Allocate the backend's persistent cells on [device] and return the
       per-run protocol hooks.  Called once per run by the runtime's
       state construction; [probe] is the fault-injection hook for the

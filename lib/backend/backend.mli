@@ -56,7 +56,7 @@ module type S = sig
   val name : string
   val description : string
 
-  val injection_sites : string list
+  val injection_sites : Nvm.Site.t list
   (** Extra crash windows this backend's commit protocol exposes, in
       numbering order (appended after the NVM and runtime sites by the
       fault-injection engine).  Empty for backends whose commit point is
@@ -66,7 +66,7 @@ module type S = sig
   (** The WAR-analysis surface: every distinct unit of re-execution,
       named, in first-appearance order. *)
 
-  val setup : probe:(string -> unit) -> Device.t -> Task.app -> instance
+  val setup : probe:(Nvm.Site.t -> unit) -> Device.t -> Task.app -> instance
   (** Allocate the backend's persistent cells on [device] and return the
       per-run protocol hooks.  Called once per run. *)
 end
@@ -75,9 +75,9 @@ type b = (module S)
 
 val name : b -> string
 val description : b -> string
-val injection_sites : b -> string list
+val injection_sites : b -> Nvm.Site.t list
 val bodies : b -> Task.app -> (string * (Task.context -> unit)) list
-val setup : b -> probe:(string -> unit) -> Device.t -> Task.app -> instance
+val setup : b -> probe:(Nvm.Site.t -> unit) -> Device.t -> Task.app -> instance
 
 val immortal : b
 (** The reference backend: the paper's ARTEMIS task-transaction

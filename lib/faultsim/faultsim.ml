@@ -6,30 +6,24 @@ module Digits = Artemis_util.Digits
    Alpaca two-phase-commit windows appended by PR 10 so the historic
    numbering [0,19] stays stable) --- *)
 
+(* Each layer numbers its own site constants; the concatenation must
+   come out dense, so a probe can index per-site tables by [id]. *)
 let sites =
-  Array.of_list
-    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites)
-let site_count = Array.length sites
-
-(* Shared-mutable audit (PR 5): this table is populated once at module
-   initialisation and is read-only afterwards, so concurrent lookups
-   from worker domains are safe (no resize can occur). *)
-let site_ids : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  Array.iteri (fun i label -> Hashtbl.replace tbl label i) sites;
-  tbl
-
-(* Every layer fires its probes with the label constants listed in its
-   [injection_sites], so a physical-equality scan of [sites] finds the
-   label without hashing it - a campaign run probes ~170 times.  An
-   equal string that is not the constant resolves through the table. *)
-let site_id label =
-  let rec scan i =
-    if i = site_count then Hashtbl.find site_ids label
-    else if sites.(i) == label then i
-    else scan (i + 1)
+  let all =
+    Array.of_list
+      (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites)
   in
-  scan 0
+  Array.iteri
+    (fun i (s : Nvm.Site.t) ->
+      if s.id <> i then
+        invalid_arg
+          (Printf.sprintf "Faultsim.sites: %s has id %d at index %d" s.label
+             s.id i))
+    all;
+  all
+
+let site_count = Array.length sites
+let site_id (s : Nvm.Site.t) = s.id
 
 (* --- schedules and replay lines --- *)
 
@@ -296,9 +290,9 @@ let freshness_violations (b : Scenario.built) =
         (Consistency.Freshness.violations tracker)
 
 (* The commit points the task-atomicity oracle tracks. *)
-let commit_after = site_id "nvm.commit_tx.after"
-let log_after = site_id "alpaca.log.after"
-let swap_after = site_id "alpaca.swap.after"
+let commit_after = Nvm.Site.commit_tx_after.id
+let log_after = Alpaca.Site.log_after.id
+let swap_after = Alpaca.Site.swap_after.id
 
 let m_runs = Obs.counter "faultsim_runs"
 let m_injected = Obs.counter "faultsim_injected"
@@ -326,7 +320,16 @@ let run_logged ~digest (scenario : Scenario.t) ~seed schedule =
      the instant the commit log seals ([alpaca.log.after]) the run may
      also be in the {e promised} post-state - the sealed write set
      captured logically (pending views included) at the seal - and in
-     nothing else until the swap publishes it ([alpaca.swap.after]). *)
+     nothing else until the swap publishes it ([alpaca.swap.after]).
+
+     [app_at] is the region's version when [app_committed] was taken.
+     While the version stays put the snapshot is still the committed
+     state, so a commit point need not retake it and a crash check need
+     not compare - most commits are monitor steps that never touch the
+     region.  [-1] (no version) marks a snapshot of the promised
+     post-state, which no version describes. *)
+  let app_version () = Nvm.region_version nvm ~region:Nvm.Application in
+  let app_at = ref (app_version ()) in
   let app_committed = ref (Nvm.snapshot_region nvm ~region:Nvm.Application) in
   let sealed = ref false in
   let promised = ref [] in
@@ -339,32 +342,47 @@ let run_logged ~digest (scenario : Scenario.t) ~seed schedule =
       now
   in
   let check_atomicity label =
-    let now = Nvm.snapshot_region nvm ~region:Nvm.Application in
-    if now = !app_committed then ()
-    else if !sealed && now = !promised then
-      (* the sealed two-phase commit landed between checks *)
-      app_committed := now
-    else
-      violations :=
-        {
-          oracle = "task-atomicity";
-          detail =
-            Printf.sprintf
-              "committed app cells changed outside a commit at %s: %s" label
-              (String.concat "," (changed_cells ~against:!app_committed now));
-        }
-        :: !violations
+    let version = app_version () in
+    if version <> !app_at then begin
+      let now = Nvm.snapshot_region nvm ~region:Nvm.Application in
+      if now = !app_committed then
+        (* rewritten with the values it held *)
+        app_at := version
+      else if !sealed && now = !promised then begin
+        (* the sealed two-phase commit landed between checks *)
+        app_committed := now;
+        app_at := version
+      end
+      else
+        violations :=
+          {
+            oracle = "task-atomicity";
+            detail =
+              Printf.sprintf
+                "committed app cells changed outside a commit at %s: %s" label
+                (String.concat "," (changed_cells ~against:!app_committed now));
+          }
+          :: !violations
+    end
   in
-  let probe label =
-    let id = site_id label in
+  let probe (site : Nvm.Site.t) =
+    let id = site.id in
     hits.(id) <- hits.(id) + 1;
     let occ = since.(id) in
     since.(id) <- occ + 1;
-    if id = commit_after then
-      app_committed := Nvm.snapshot_region nvm ~region:Nvm.Application
+    if id = commit_after then begin
+      let version = app_version () in
+      if version <> !app_at then begin
+        app_committed := Nvm.snapshot_region nvm ~region:Nvm.Application;
+        app_at := version
+      end
+    end
     else if id = log_after then begin
       (* a new log can only seal after the previous one published *)
-      if !sealed then app_committed := !promised;
+      if !sealed then begin
+        app_committed := !promised;
+        app_at := -1
+      end;
       promised := Nvm.snapshot_region_logical nvm ~region:Nvm.Application;
       sealed := true
     end
@@ -381,6 +399,7 @@ let run_logged ~digest (scenario : Scenario.t) ~seed schedule =
           }
           :: !violations;
       app_committed := now;
+      app_at := app_version ();
       sealed := false
     end;
     match !remaining with
@@ -389,8 +408,8 @@ let run_logged ~digest (scenario : Scenario.t) ~seed schedule =
         Array.fill since 0 site_count 0;
         fired := (s, o) :: !fired;
         Obs.incr m_injected;
-        check_atomicity label;
-        raise (Nvm.Injected_failure label)
+        check_atomicity site.label;
+        raise (Nvm.Injected_failure site)
     | _ -> ()
   in
   let result =
@@ -747,7 +766,9 @@ let write_campaign_json buf ~flush c =
   add "  \"depth\": %d,\n" c.depth;
   add "  \"campaign_seed\": %d,\n" c.campaign_seed;
   add "  \"sites\": [%s],\n"
-    (String.concat ", " (Array.to_list (Array.map Json.quote sites)));
+    (String.concat ", "
+       (Array.to_list
+          (Array.map (fun (s : Nvm.Site.t) -> Json.quote s.label) sites)));
   add "  \"registered_sites\": %d,\n" site_count;
   add "  \"covered_sites\": [%s],\n"
     (String.concat ", " (List.map string_of_int c.covered));

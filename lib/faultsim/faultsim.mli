@@ -41,16 +41,18 @@
 
 (** {2 Injection sites} *)
 
-val sites : string array
-(** All injection-point labels, in numbering order:
-    {!Nvm.injection_sites} first, then {!Runtime.injection_sites}, then
+val sites : Artemis.Nvm.Site.t array
+(** All injection sites, in numbering order:
+    {!Artemis.Nvm.injection_sites} first, then
+    {!Artemis.Runtime.injection_sites}, then
     {!Artemis.Alpaca.injection_sites} (PR 10) - the historic ids [0,19]
-    are stable. *)
+    are stable.  Every site's [id] is its index here; module
+    initialisation fails if a layer's constants break that. *)
 
 val site_count : int
 
-val site_id : string -> int
-(** @raise Not_found for an unknown label. *)
+val site_id : Artemis.Nvm.Site.t -> int
+(** The site's [id]: its index in {!sites}. *)
 
 (** {2 Schedules} *)
 

@@ -3,7 +3,21 @@ module Obs = Artemis_obs.Obs
 type region = Runtime | Monitor | Application | Staging
 type kind = Fram | Ram
 
-exception Injected_failure of string
+(* One constant per injection site.  [id] is the site's index in the
+   fault-injection engine's numbering, so a probe indexes its per-site
+   tables directly; [label] names the site in logs and reports. *)
+module Site = struct
+  type t = { id : int; label : string }
+
+  let write_before = { id = 0; label = "nvm.write.before" }
+  let write_after = { id = 1; label = "nvm.write.after" }
+  let tx_write_before = { id = 2; label = "nvm.tx_write.before" }
+  let tx_write_after = { id = 3; label = "nvm.tx_write.after" }
+  let commit_tx_before = { id = 4; label = "nvm.commit_tx.before" }
+  let commit_tx_after = { id = 5; label = "nvm.commit_tx.after" }
+end
+
+exception Injected_failure of Site.t
 
 (* Observability: single-branch no-ops unless the registry is enabled,
    so the PR1 fast-path numbers survive (bench tracks the contract). *)
@@ -12,18 +26,6 @@ let m_tx_writes = Obs.counter "nvm_tx_writes"
 let m_tx_commits = Obs.counter "nvm_tx_commits"
 let m_tx_aborts = Obs.counter "nvm_tx_aborts"
 let m_power_failures = Obs.counter "nvm_power_failures"
-
-(* One constant per injection site: the probes fire the very string
-   listed in [injection_sites], which lets the fault-injection engine
-   recognise a label by physical equality instead of hashing it. *)
-module Site = struct
-  let write_before = "nvm.write.before"
-  let write_after = "nvm.write.after"
-  let tx_write_before = "nvm.tx_write.before"
-  let tx_write_after = "nvm.tx_write.after"
-  let commit_tx_before = "nvm.commit_tx.before"
-  let commit_tx_after = "nvm.commit_tx.after"
-end
 
 (* Stable numbering contract for the fault-injection engine: sites are
    listed in this order, before the runtime's own sites. *)
@@ -100,6 +102,10 @@ type dirty = {
   capture : unit -> unit -> unit;
 }
 
+(* A region's version counter, shared by the region's cells so that an
+   assignment bumps it without finding the region first. *)
+type version = { mutable v : int }
+
 type t = {
   obs : Obs.ctx;  (* recording surface; per-device since PR 5 *)
   names : (region * string, unit) Hashtbl.t;  (* duplicate detection *)
@@ -107,13 +113,16 @@ type t = {
   mutable volatiles : registered list;  (* Ram cells only *)
   region_cells : registered list array;
       (* per region, reverse allocation order *)
+  versions : version array;
+      (* per region: committed assignments + cell allocations, see
+         [region_version] *)
   mutable tx_open : bool;
   mutable tx_dirty : dirty list;  (* reverse write order *)
   mutable reverts : int;  (* aborts + power failures, see [revert_count] *)
   mutable tx_begin_us : int;  (* span start when tracing is enabled *)
-  mutable probe : (string -> unit) option;
+  mutable probe : (Site.t -> unit) option;
       (* fault-injection hook; fired around state-changing operations with
-         the site label, and allowed to raise [Injected_failure] *)
+         the site, and allowed to raise [Injected_failure] *)
   mutable recorder : (access -> unit) option;
       (* access-set recorder for the static WAR-hazard pass (PR 7) *)
 }
@@ -128,15 +137,20 @@ type 'a cell = {
   mutable committed_md5 : string;
       (* digest of [committed]; [""] (never an MD5) when stale *)
   mutable pending : 'a option;
+  version : version;  (* its region's, [t.versions] *)
 }
+
+let bump version = version.v <- version.v + 1
 
 (* The one way [committed] changes: every assignment clears the digest
    cache, so a snapshot re-digests exactly the cells written since the
-   previous one.  Cell values are immutable, so no in-place mutation
-   can go stale behind the cache. *)
+   previous one, and moves its region's version, so a reader holding a
+   snapshot knows whether it may still be current.  Cell values are
+   immutable, so no in-place mutation can go stale behind either. *)
 let set_committed c v =
   c.committed <- v;
-  c.committed_md5 <- ""
+  c.committed_md5 <- "";
+  bump c.version
 
 let digest_value v = Digest.string (Marshal.to_string v [ Marshal.Closures ])
 
@@ -154,6 +168,7 @@ let create ?obs () =
     footprints = Array.make 8 0;
     volatiles = [];
     region_cells = Array.make 4 [];
+    versions = Array.init 4 (fun _ -> { v = 0 });
     tx_open = false;
     tx_dirty = [];
     reverts = 0;
@@ -185,9 +200,10 @@ let cell t ~region ?(kind = Fram) ~name ~bytes init =
   if Hashtbl.mem t.names (region, name) then
     invalid_arg (Printf.sprintf "Nvm.cell: duplicate cell %S" name);
   Hashtbl.replace t.names (region, name) ();
+  let slot = region_slot region in
   let c =
     { store = t; name; region; kind; initial = init; committed = init;
-      committed_md5 = ""; pending = None }
+      committed_md5 = ""; pending = None; version = t.versions.(slot) }
   in
   let registered =
     {
@@ -206,8 +222,8 @@ let cell t ~region ?(kind = Fram) ~name ~bytes init =
           digest_value v);
     }
   in
-  let slot = region_slot region in
   t.region_cells.(slot) <- registered :: t.region_cells.(slot);
+  bump c.version;
   t.footprints.(footprint_slot kind region) <-
     t.footprints.(footprint_slot kind region) + bytes;
   if kind = Ram then t.volatiles <- registered :: t.volatiles;
@@ -334,6 +350,7 @@ let power_failure t =
 let revert_count t = t.reverts
 
 let footprint t ~kind ~region = t.footprints.(footprint_slot kind region)
+let region_version t ~region = t.versions.(region_slot region).v
 
 (* [region_cells] is in reverse allocation order, so one [rev_map]
    yields allocation order. *)

@@ -35,16 +35,36 @@ type kind =
 
 type 'a cell
 
-exception Injected_failure of string
-(** Raised by a fault-injection probe (see {!set_probe}) to model a power
-    failure at the instrumented point whose label it carries.  The
-    intermittent runtime catches it, runs the device's power-failure
-    recovery, and resumes from persistent state. *)
+(** Injection sites: the instrumented instants a fault-injection probe
+    fires at.  Every layer that exposes sites (this module, the runtime,
+    the adaptation protocol, the Alpaca backend) defines one constant
+    per site with its number fixed in the source, so a probe identifies
+    a site by reading its [id]. *)
+module Site : sig
+  type t = {
+    id : int;
+        (** index in the fault-injection engine's numbering: dense over
+            every layer's sites, this module's first *)
+    label : string;  (** name used in event logs and reports *)
+  }
 
-val injection_sites : string list
-(** The labels this module's probe can fire, in the canonical numbering
-    order used by the fault-injection engine: before/after each {!write},
-    {!tx_write} and {!commit_tx}. *)
+  val write_before : t
+  val write_after : t
+  val tx_write_before : t
+  val tx_write_after : t
+  val commit_tx_before : t
+  val commit_tx_after : t
+end
+
+exception Injected_failure of Site.t
+(** Raised by a fault-injection probe (see {!set_probe}) to model a power
+    failure at the instrumented site it carries.  The intermittent
+    runtime catches it, runs the device's power-failure recovery, and
+    resumes from persistent state. *)
+
+val injection_sites : Site.t list
+(** The sites this module's probe can fire, in numbering order (ids 0-5):
+    before/after each {!write}, {!tx_write} and {!commit_tx}. *)
 
 val create : ?obs:Artemis_obs.Obs.ctx -> unit -> t
 (** [obs] is the observability context this store records into; defaults
@@ -55,9 +75,9 @@ val obs : t -> Artemis_obs.Obs.ctx
     instrumented libraries ([lib/monitor], [lib/immortal], [lib/adapt])
     fetch it from here so one device's activity lands in one context. *)
 
-val set_probe : t -> (string -> unit) option -> unit
+val set_probe : t -> (Site.t -> unit) option -> unit
 (** Install (or clear) the fault-injection probe.  The probe is invoked
-    with the site label around every state-changing operation and may
+    with the site around every state-changing operation and may
     raise {!Injected_failure} to crash the store's owner at that point.
     Recovery paths ({!power_failure}, {!abort_tx}) and reads never fire
     the probe. *)
@@ -169,6 +189,16 @@ val revert_count : t -> int
 val footprint : t -> kind:kind -> region:region -> int
 (** Total declared bytes of the cells of that kind and region. *)
 
+val region_version : t -> region:region -> int
+(** A counter of the region's committed state, starting at 0.  Every
+    assignment to a cell's committed value bumps it - {!write},
+    {!commit_tx}, a write-through {!tx_write} under
+    {!Chaos.tx_write_through}, a {!capture_tx} redo thunk, the reset of
+    a [Ram] cell by {!power_failure} - and so does every {!cell}
+    allocated in the region.  An unchanged version therefore guarantees
+    an unchanged {!snapshot_region}; a changed one guarantees nothing
+    (a write may store the value the cell already held). *)
+
 val cell_names : t -> region:region -> string list
 (** Names of allocated cells, in allocation order (diagnostics). *)
 
@@ -177,7 +207,8 @@ val snapshot_region : t -> region:region -> (string * string) list
     in allocation order.  Pending transactional values are excluded, so
     two snapshots are equal iff the durable states are.  Used by the
     fault-injection oracles (task-transaction atomicity), which take one
-    at every commit.  Each cell memoises the MD5 of its committed value
+    at every commit that moved the region's {!region_version}.  Each
+    cell memoises the MD5 of its committed value
     and every assignment to it clears the memo, so a snapshot only
     re-digests the cells written since the previous one. *)
 

@@ -118,16 +118,18 @@ type mcall = {
   journal : journal_entry list;  (** newest first; [] when not instrumented *)
 }
 
-(* Numbered alongside Nvm.injection_sites by the fault-injection engine.
+(* Numbered after Nvm.injection_sites by the fault-injection engine.
    The adaptation sites are appended so the historic numbering (0-11)
    stays stable. *)
 module Site = struct
-  let monitor_step_before = "rt.monitor_step.before"
-  let monitor_step_after = "rt.monitor_step.after"
-  let event_update_before = "rt.event_update.before"
-  let event_update_after = "rt.event_update.after"
-  let verdict_before = "rt.verdict.before"
-  let verdict_after = "rt.verdict.after"
+  open Nvm.Site
+
+  let monitor_step_before = { id = 6; label = "rt.monitor_step.before" }
+  let monitor_step_after = { id = 7; label = "rt.monitor_step.after" }
+  let event_update_before = { id = 8; label = "rt.event_update.before" }
+  let event_update_after = { id = 9; label = "rt.event_update.after" }
+  let verdict_before = { id = 10; label = "rt.verdict.before" }
+  let verdict_after = { id = 11; label = "rt.verdict.after" }
 end
 
 let injection_sites =
@@ -204,7 +206,7 @@ type state = {
   suspended : bool Nvm.cell;  (** completePath: monitoring suspended *)
   round : int Nvm.cell;  (** reactive execution: current pass, 1-based *)
   prng : Prng.t;
-  probe : string -> unit;  (** fault-injection hook for runtime sites *)
+  probe : Nvm.Site.t -> unit;  (** fault-injection hook for runtime sites *)
   journaling : bool;  (** record the committed event prefix in [mcall] *)
   mutable iterations : int;
   mutable max_mcall_energy : Energy.energy;
@@ -896,7 +898,7 @@ let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
                ~name:
                  (Printf.sprintf "rt.leak%d" (Device.power_failures st.device))
                ~bytes:4 0);
-        match Device.force_power_failure st.device ~during:("fault:" ^ site) () with
+        match Device.force_power_failure st.device ~during:("fault:" ^ site.Nvm.Site.label) () with
         | Device.Starved ->
             Device.record device
               (Event.Horizon_reached { reason = "harvester starved" });

@@ -138,10 +138,21 @@ val runtime_fram_bytes : Device.t -> int
     invariants afterwards.  Normal runs pay nothing for them: the probe
     defaults to a no-op and journaling is off. *)
 
-val injection_sites : string list
-(** Labels of the runtime-level injection points, in numbering order
-    (the engine numbers {!Artemis_nvm.Nvm.injection_sites} first, then
-    these).  Each site is probed with its label; a probe that raises
+module Site : sig
+  val monitor_step_before : Artemis_nvm.Nvm.Site.t
+  val monitor_step_after : Artemis_nvm.Nvm.Site.t
+  val event_update_before : Artemis_nvm.Nvm.Site.t
+  val event_update_after : Artemis_nvm.Nvm.Site.t
+  val verdict_before : Artemis_nvm.Nvm.Site.t
+  val verdict_after : Artemis_nvm.Nvm.Site.t
+end
+(** The runtime's own injection sites, ids 6-11. *)
+
+val injection_sites : Artemis_nvm.Nvm.Site.t list
+(** The runtime-level injection sites in numbering order: {!Site}'s,
+    then {!Artemis_adapt.Adapt.injection_sites} (the engine numbers
+    {!Artemis_nvm.Nvm.injection_sites} first, then these).  Each site
+    is probed with its constant; a probe that raises
     {!Artemis_nvm.Nvm.Injected_failure} models a power failure at that
     instruction. *)
 
@@ -181,7 +192,7 @@ val run_instrumented :
   ?config:config ->
   ?adaptations:(int * Artemis_adapt.Adapt.update) list ->
   ?backend:Artemis_backend.Backend.b ->
-  probe:(string -> unit) ->
+  probe:(Artemis_nvm.Nvm.Site.t -> unit) ->
   Device.t -> Task.app -> Artemis_monitor.Suite.t ->
   instrumented
 (** Like {!run}, with [probe] installed on every injection site (both

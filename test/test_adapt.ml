@@ -195,40 +195,40 @@ let test_validation_rejects () =
    application with the migrated state intact. *)
 let test_per_site_crash_recovery () =
   List.iter
-    (fun site ->
+    (fun (site : Nvm.Site.t) ->
       let nvm, mgr = setup () in
       for i = 1 to 3 do
         ignore (Suite.step_all_unindexed (Adapt.active mgr) (start_a i))
       done;
       let update = Adapt.machine_update ~id:1 counter_v2_src in
       let armed = ref true in
-      let probe label =
-        if !armed && String.equal label site then begin
+      let probe (s : Nvm.Site.t) =
+        if !armed && s.id = site.id then begin
           armed := false;
-          raise (Nvm.Injected_failure label)
+          raise (Nvm.Injected_failure s)
         end
       in
       (try
          ignore (Adapt.stage ~probe mgr update);
          match Adapt.apply ~probe mgr with
          | Adapt.Applied _ -> ()
-         | _ -> Alcotest.failf "%s: expected Applied" site
+         | _ -> Alcotest.failf "%s: expected Applied" site.label
        with Nvm.Injected_failure _ -> Nvm.power_failure nvm);
       (* recovery, as the runtime's update window performs it *)
       (if Adapt.pending_id mgr <> None then
          match Adapt.apply mgr with
          | Adapt.Applied _ -> ()
-         | _ -> Alcotest.failf "%s: recovery apply failed" site
+         | _ -> Alcotest.failf "%s: recovery apply failed" site.label
        else if not (Adapt.already_applied mgr 1) then begin
          ignore (Adapt.stage mgr update);
          match Adapt.apply mgr with
          | Adapt.Applied _ -> ()
-         | _ -> Alcotest.failf "%s: redelivery failed" site
+         | _ -> Alcotest.failf "%s: redelivery failed" site.label
        end);
-      Alcotest.(check (list int)) (site ^ ": applied exactly once") [ 1 ]
+      Alcotest.(check (list int)) (site.label ^ ": applied exactly once") [ 1 ]
         (Adapt.applied_ids mgr);
-      Alcotest.(check int) (site ^ ": generation") 1 (Adapt.generation mgr);
-      Alcotest.(check int) (site ^ ": migrated state") 3 (read_n mgr))
+      Alcotest.(check int) (site.label ^ ": generation") 1 (Adapt.generation mgr);
+      Alcotest.(check int) (site.label ^ ": migrated state") 3 (read_n mgr))
     Adapt.injection_sites
 
 (* --- runtime integration --- *)

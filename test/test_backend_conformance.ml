@@ -44,9 +44,9 @@ struct
     Alcotest.(check int) "zero violations" 0 (F.total_violations c);
     Alcotest.(check bool) "no reproducer" true (c.F.shrunk = None);
     List.iter
-      (fun site ->
+      (fun (site : Nvm.Site.t) ->
         Alcotest.(check bool)
-          ("protocol site covered: " ^ site)
+          ("protocol site covered: " ^ site.label)
           true
           (List.mem (F.site_id site) c.F.covered))
       (Backend.injection_sites B.b)

@@ -285,11 +285,11 @@ let depth1_campaign (sc : Scenario.t) engine =
     ~what:(Printf.sprintf "%s/%s baseline" sc.Scenario.name (engine_name engine))
     bound inst;
   Hashtbl.iter
-    (fun site n ->
+    (fun (site : Nvm.Site.t) n ->
       for occ = 0 to Stdlib.min n max_occurrences_per_site - 1 do
         let seen = ref 0 in
         let probe label =
-          if String.equal label site then begin
+          if label.Nvm.Site.id = site.id then begin
             let k = !seen in
             incr seen;
             if k = occ then raise (Nvm.Injected_failure site)
@@ -299,7 +299,7 @@ let depth1_campaign (sc : Scenario.t) engine =
         check_dominates
           ~what:
             (Printf.sprintf "%s/%s %s@%d" sc.Scenario.name (engine_name engine)
-               site occ)
+               site.label occ)
           bound inst
       done)
     hits
@@ -353,9 +353,9 @@ let fuzzed_bound_domination =
           [ Ea.property_bound ~deployment ~model:config.Runtime.cost_model table ]
       in
       let hits = ref 0 in
-      let probe _ =
+      let probe site =
         incr hits;
-        if !hits = crash_at then raise (Nvm.Injected_failure "fuzz")
+        if !hits = crash_at then raise (Nvm.Injected_failure site)
       in
       match Runtime.run_instrumented ~config ~probe device app suite with
       | inst -> Energy.(inst.Runtime.max_call_energy <= with_float_slack bound)

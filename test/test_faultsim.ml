@@ -6,6 +6,19 @@ open Artemis
 module F = Artemis_faultsim.Faultsim
 module Scenario = Artemis_faultsim.Scenario
 
+(* Every layer's site constants, in the order the engine numbers them. *)
+let layer_constants =
+  Nvm.Site.
+    [ write_before; write_after; tx_write_before; tx_write_after;
+      commit_tx_before; commit_tx_after ]
+  @ Runtime.Site.
+      [ monitor_step_before; monitor_step_after; event_update_before;
+        event_update_after; verdict_before; verdict_after ]
+  @ Adapt.Site.
+      [ stage_before; stage_after; validate_after; migrate_before;
+        migrate_after; flip_before; flip_after; clear_after ]
+  @ Alpaca.Site.[ log_before; log_after; swap_before; swap_after ]
+
 let test_site_numbering () =
   Alcotest.(check int)
     "nvm sites, runtime sites, then alpaca sites"
@@ -13,19 +26,28 @@ let test_site_numbering () =
     + List.length Runtime.injection_sites
     + List.length Alpaca.injection_sites)
     F.site_count;
-  Alcotest.(check string) "site 0" "nvm.write.before" F.sites.(0);
+  Alcotest.(check string) "site 0" "nvm.write.before" F.sites.(0).label;
   Alcotest.(check string) "first alpaca site" "alpaca.log.before"
     F.sites.(List.length Nvm.injection_sites
-             + List.length Runtime.injection_sites);
+             + List.length Runtime.injection_sites).label;
+  Alcotest.(check bool) "the layers list exactly their constants" true
+    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites
+    = layer_constants);
+  Alcotest.(check int) "one constant per site" F.site_count
+    (List.length layer_constants);
   List.iteri
-    (fun i label ->
-      Alcotest.(check int) ("id of " ^ label) i (F.site_id label);
-      (* a fresh copy is not the layer's constant: the table finds it *)
-      Alcotest.(check int) ("id of a copy of " ^ label) i
-        (F.site_id (Bytes.to_string (Bytes.of_string label))))
-    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites);
-  Alcotest.check_raises "unknown label" Not_found (fun () ->
-      ignore (F.site_id "nvm.write.during"))
+    (fun i (s : Nvm.Site.t) ->
+      Alcotest.(check int) ("id of " ^ s.label) i s.id;
+      Alcotest.(check int) ("site_id of " ^ s.label) i (F.site_id s);
+      Alcotest.(check string) (Printf.sprintf "label of site %d" i) s.label
+        F.sites.(i).label)
+    layer_constants;
+  Alcotest.(check (list int)) "ids are dense" (List.init F.site_count Fun.id)
+    (List.sort compare (List.map (fun (s : Nvm.Site.t) -> s.id) layer_constants));
+  Alcotest.(check int) "labels are distinct" F.site_count
+    (List.length
+       (List.sort_uniq String.compare
+          (List.map (fun (s : Nvm.Site.t) -> s.label) layer_constants)))
 
 let test_schedule_roundtrip () =
   let cases = [ []; [ (0, 0) ]; [ (3, 2); (11, 0); (5, 7) ] ] in
@@ -60,13 +82,14 @@ let test_baseline_clean () =
   Array.iteri
     (fun i h ->
       if is_adapt_site i then
-        Alcotest.(check int) ("quiet without updates: " ^ F.sites.(i)) 0 h
+        Alcotest.(check int) ("quiet without updates: " ^ F.sites.(i).label) 0 h
       else if is_alpaca_site i then
         Alcotest.(check int)
-          ("quiet under the immortal backend: " ^ F.sites.(i))
+          ("quiet under the immortal backend: " ^ F.sites.(i).label)
           0 h
       else
-        Alcotest.(check bool) ("hit by a plain run: " ^ F.sites.(i)) true (h > 0))
+        Alcotest.(check bool) ("hit by a plain run: " ^ F.sites.(i).label) true
+          (h > 0))
     r.F.hits
 
 let test_depth1_exhaustive_coverage () =

@@ -124,6 +124,58 @@ let atomicity_qcheck =
       if Nvm.in_tx nvm then Nvm.power_failure nvm;
       Nvm.read cell = !committed)
 
+(* The region versions the task-atomicity oracle gates its snapshots
+   on: every way a region's committed state can change moves that
+   region's version and no other; buffered writes, aborts and reads
+   move none. *)
+let test_region_versions () =
+  let nvm = Nvm.create () in
+  let regions = [ Nvm.Runtime; Nvm.Monitor; Nvm.Application; Nvm.Staging ] in
+  let versions () = List.map (fun region -> Nvm.region_version nvm ~region) regions in
+  let moves what region f =
+    let before = versions () in
+    let r = f () in
+    List.iter2
+      (fun r0 (v0, v) ->
+        if r0 = region then
+          Alcotest.(check bool) (what ^ " bumps its region") true (v > v0)
+        else Alcotest.(check int) (what ^ " leaves other regions") v0 v)
+      regions
+      (List.combine before (versions ()));
+    r
+  in
+  let still what f =
+    let before = versions () in
+    f ();
+    Alcotest.(check (list int)) (what ^ " bumps nothing") before (versions ())
+  in
+  let app =
+    moves "allocating a cell" Nvm.Application (fun () ->
+        Nvm.cell nvm ~region:Nvm.Application ~name:"x" ~bytes:4 0)
+  in
+  moves "write" Nvm.Application (fun () -> Nvm.write app 1);
+  still "read" (fun () -> ignore (Nvm.read app));
+  Nvm.begin_tx nvm;
+  still "tx_write" (fun () -> Nvm.tx_write app 2);
+  moves "commit_tx" Nvm.Application (fun () -> Nvm.commit_tx nvm);
+  Nvm.begin_tx nvm;
+  Nvm.tx_write app 3;
+  still "abort_tx" (fun () -> Nvm.abort_tx nvm);
+  let ram =
+    moves "allocating a RAM cell" Nvm.Runtime (fun () ->
+        Nvm.cell nvm ~region:Nvm.Runtime ~kind:Nvm.Ram ~name:"scratch" ~bytes:2 0)
+  in
+  Nvm.write ram 5;
+  moves "power_failure resetting RAM" Nvm.Runtime (fun () ->
+      Nvm.power_failure nvm);
+  Nvm.begin_tx nvm;
+  Nvm.tx_write app 4;
+  let redo = Nvm.capture_tx nvm in
+  still "drop_tx" (fun () -> Nvm.drop_tx nvm);
+  moves "a redo thunk" Nvm.Application (fun () ->
+      List.iter (fun (_, _, apply) -> apply ()) redo);
+  Alcotest.(check int) "redo published" 4 (Nvm.read app)
+
 let suite =
   [
     Alcotest.test_case "write-through persistence" `Quick test_write_through;
@@ -137,5 +189,7 @@ let suite =
     Alcotest.test_case "duplicate cells rejected" `Quick
       test_duplicate_cells_rejected;
     Alcotest.test_case "footprint accounting" `Quick test_footprint_accounting;
+    Alcotest.test_case "committed assignments bump region versions" `Quick
+      test_region_versions;
     QCheck_alcotest.to_alcotest atomicity_qcheck;
   ]

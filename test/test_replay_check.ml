@@ -184,39 +184,54 @@ let test_replay_sees_what_the_digest_misses () =
     (List.tl jitter_lines);
   Alcotest.(check bool) "the campaign fails" false (F.passed c)
 
-(* --- the task-atomicity snapshot cache against its reference --- *)
+(* --- the task-atomicity snapshot cache and version gate against
+   their reference --- *)
 
-let regions = [ Nvm.Runtime; Nvm.Monitor; Nvm.Application; Nvm.Staging ]
+let regions =
+  [ ("runtime", Nvm.Runtime); ("monitor", Nvm.Monitor);
+    ("application", Nvm.Application); ("staging", Nvm.Staging) ]
 
 (* Run one fresh build under [schedule] (faultsim's occurrence
    counting), comparing the cached snapshot of every region with the
    uncached Marshal+MD5 reference at every probe point and at the end.
+   The same pass checks the version gate the task-atomicity oracle
+   relies on: wherever a region's version has not moved since the
+   previous probe point, its uncached snapshot must not have either.
    Returns the number of comparisons made. *)
 let snapshots_agree (sc : Scenario.t) ~seed schedule =
   let b = sc.Scenario.build ~engine:None ~seed in
   let nvm = Device.nvm b.Scenario.device in
   let checks = ref 0 in
+  let last = Array.make (List.length regions) (-1, []) in
   let compare_all where =
-    List.iter
-      (fun region ->
+    List.iteri
+      (fun i (name, region) ->
         incr checks;
-        if Nvm.snapshot_region nvm ~region <> Nvm.snapshot_region_uncached nvm ~region
-        then
-          Alcotest.failf "%s seed %d schedule %s: cached snapshot differs at %s"
-            sc.Scenario.name seed (F.schedule_to_string schedule) where)
+        let fail what =
+          Alcotest.failf "%s seed %d schedule %s: %s %s at %s" sc.Scenario.name
+            seed (F.schedule_to_string schedule) name what where
+        in
+        let uncached = Nvm.snapshot_region_uncached nvm ~region in
+        if Nvm.snapshot_region nvm ~region <> uncached then
+          fail "cached snapshot differs";
+        let version = Nvm.region_version nvm ~region in
+        let version0, snapshot0 = last.(i) in
+        if version = version0 && uncached <> snapshot0 then
+          fail "changed without a version bump";
+        last.(i) <- (version, uncached))
       regions
   in
   let since = Array.make F.site_count 0 and remaining = ref schedule in
-  let probe label =
-    compare_all label;
-    let id = F.site_id label in
+  let probe (site : Nvm.Site.t) =
+    compare_all site.label;
+    let id = F.site_id site in
     let occ = since.(id) in
     since.(id) <- occ + 1;
     match !remaining with
     | (s, o) :: rest when s = id && o = occ ->
         remaining := rest;
         Array.fill since 0 F.site_count 0;
-        raise (Nvm.Injected_failure label)
+        raise (Nvm.Injected_failure site)
     | _ -> ()
   in
   ignore
